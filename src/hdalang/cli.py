@@ -79,6 +79,13 @@ class _DomainFailure(Exception):
         self.record = record
 
 
+def _count(text: str) -> int:
+    """Argparse type of the count flags: a non-negative integer."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hdalang",
@@ -106,22 +113,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
     add("validate", "check any document and print its canonical form")
     p = add("language", "bounded language of an automaton")
-    p.add_argument("--max-events", type=int, required=True)
+    p.add_argument("--max-events", type=_count, required=True)
     p = add("expand", "materialise a language up to an event budget")
-    p.add_argument("--max-events", type=int, required=True)
+    p.add_argument("--max-events", type=_count, required=True)
     add("tensor", "parallel product of two automata", files=2)
     add("coproduct", "disjoint union of automata", files=-1)
     add("pushout", "glue the two sides of a span document")
     p = add("replicate", "zero to n parallel copies of an automaton")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_count, required=True)
     p = add("chain", "n-th stage of the iterated-pushout replication chain")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_count, required=True)
     p.add_argument("--base", required=True, help="vertex acting as the idle state")
     p.add_argument("--far", required=True, help="vertex whose powers mark acceptance")
     add("glue", "sequential composition of two ipomsets", files=2)
     add("par", "parallel composition of two ipomsets", files=2)
     p = add("closure", "bounded parallel closure of a language")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_count, required=True)
     add("subsume", "does the first ipomset refine the second?", files=2)
     add("interval", "interval representation of an ipomset's precedence")
     add("dot", "render an automaton document for Graphviz")

@@ -12,6 +12,10 @@ the other started", with the events active at the two ends as interfaces.
 The language of an automaton collects the labels of its accepting paths
 and is closed under subsumption; since cyclic automata have unboundedly
 many events, languages here are always extracted *up to an event budget*.
+There is one path semantics: a label glues one piece per step, and the
+label of a single path (:func:`ev_label`), the path enumeration and the
+memoised language extraction all take their steps and pieces from the
+same code.
 
 Paths whose accumulated precedence contradicts the order in which
 concurrent events were started admit no canonical label; they are
@@ -25,11 +29,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from hdalang.ipomset import (
     InternalOrderCycle,
     Ipomset,
+    _unchecked,
     glue,
     identity,
 )
@@ -39,6 +44,7 @@ from hdalang.precubical import (
     PrecubicalMap,
     PrecubicalSet,
     UnknownCell,
+    Word,
     coproduct,
     finite_colimit,
     tensor,
@@ -190,29 +196,57 @@ def validate_path(automaton: Hda, path: Path) -> None:
                 )
 
 
-# --- path labels -------------------------------------------------------------------
+# --- path semantics -----------------------------------------------------------------
 
 
-def _up_label(word: Sequence[str], started: frozenset[int]) -> Ipomset:
-    """Label of an up-step into a cell with ``word``; ``started`` is fresh."""
-    n = len(word)
-    return Ipomset(
-        labels=tuple(word),
+def _slice(word: Word, step: Step) -> Ipomset:
+    """The label piece of ``step``; ``word`` is that of its higher cell.
+
+    Both pieces carry the higher cell's events, all concurrent.  An up-step
+    leaves the events it starts out of the source interface, a down-step
+    leaves the events it finishes out of the target interface.
+    """
+    every = frozenset(range(len(word)))
+    rest = every - {p - 1 for p in step.positions}
+    up = isinstance(step, UpStep)
+    return _unchecked(
+        Ipomset,
+        labels=word,
         precedence=frozenset(),
-        sources=frozenset(p - 1 for p in range(1, n + 1) if p not in started),
-        targets=frozenset(range(n)),
+        sources=rest if up else every,
+        targets=every if up else rest,
     )
 
 
-def _down_label(word: Sequence[str], finished: frozenset[int]) -> Ipomset:
-    """Label of a down-step out of a cell with ``word``."""
-    n = len(word)
-    return Ipomset(
-        labels=tuple(word),
-        precedence=frozenset(),
-        sources=frozenset(range(n)),
-        targets=frozenset(p - 1 for p in range(1, n + 1) if p not in finished),
-    )
+def _moves(carrier: PrecubicalSet) -> dict[str, list[tuple[Step, str, Word]]]:
+    """For each cell, the steps leaving it: ``(step, next cell, word)``.
+
+    ``word`` is that of the step's higher cell, which :func:`_slice` takes.
+    Up-steps come first, by upper cell in dimension-then-id order, then
+    down-steps; within a cell, position sets go by size, then
+    lexicographically.
+    """
+    moves: dict[str, list[tuple[Step, str, Word]]] = {c: [] for c in carrier.cells}
+    downs = []
+    for high in carrier.sorted_cells():
+        word = carrier.word(high)
+        d = len(word)
+        for r in range(1, d + 1):
+            for positions in map(frozenset, combinations(range(1, d + 1), r)):
+                up = UpStep(positions)
+                low = carrier.apply_face(high, lower=positions)
+                moves[low].append((up, high, word))
+                down = DownStep(positions)
+                low = carrier.apply_face(high, upper=positions)
+                downs.append((high, (down, low, word)))
+    for high, move in downs:
+        moves[high].append(move)
+    return moves
+
+
+def _fresh(step: Step) -> int:
+    """How many events ``step`` starts."""
+    return len(step.positions) if isinstance(step, UpStep) else 0
 
 
 def ev_label(automaton: Hda, path: Path) -> Ipomset:
@@ -233,36 +267,9 @@ def ev_label(automaton: Hda, path: Path) -> Ipomset:
     carrier = automaton.carrier
     label = identity(carrier.word(path.first))
     for k, step in enumerate(path.steps):
-        if isinstance(step, UpStep):
-            label = glue(label, _up_label(carrier.word(path.cells[k + 1]), step.positions))
-        else:
-            label = glue(label, _down_label(carrier.word(path.cells[k]), step.positions))
+        high = path.cells[k + 1] if isinstance(step, UpStep) else path.cells[k]
+        label = glue(label, _slice(carrier.word(high), step))
     return label
-
-
-# --- path and language enumeration ---------------------------------------------------
-
-
-def _up_index(carrier: PrecubicalSet) -> dict[str, list[tuple[str, frozenset[int]]]]:
-    """For each cell, the up-steps leaving it: ``(bigger cell, started positions)``."""
-    index: dict[str, list[tuple[str, frozenset[int]]]] = {c: [] for c in carrier.cells}
-    for big in carrier.sorted_cells():
-        d = len(carrier.cells[big])
-        for r in range(1, d + 1):
-            for positions in combinations(range(1, d + 1), r):
-                started = frozenset(positions)
-                small = carrier.apply_face(big, lower=started)
-                index[small].append((big, started))
-    return index
-
-
-def _down_choices(dim: int) -> list[frozenset[int]]:
-    """All non-empty position sets that a down-step from dimension ``dim`` may finish."""
-    return [
-        frozenset(c)
-        for r in range(1, dim + 1)
-        for c in combinations(range(1, dim + 1), r)
-    ]
 
 
 def enumerate_accepting_paths(automaton: Hda, max_events: int) -> Iterator[Path]:
@@ -275,25 +282,19 @@ def enumerate_accepting_paths(automaton: Hda, max_events: int) -> Iterator[Path]
     the walk is finite even on cyclic automata.
     """
     carrier = automaton.carrier
-    ups = _up_index(carrier)
+    moves = _moves(carrier)
 
     def walk(cell: str, budget: int, cells: list[str], steps: list[Step]) -> Iterator[Path]:
         if cell in automaton.accept:
             yield Path(tuple(cells), tuple(steps))
-        for bigger, started in ups[cell]:
-            if len(started) <= budget:
-                cells.append(bigger)
-                steps.append(UpStep(started))
-                yield from walk(bigger, budget - len(started), cells, steps)
+        for step, there, _ in moves[cell]:
+            fresh = _fresh(step)
+            if fresh <= budget:
+                cells.append(there)
+                steps.append(step)
+                yield from walk(there, budget - fresh, cells, steps)
                 cells.pop()
                 steps.pop()
-        for finished in _down_choices(carrier.dim(cell)):
-            smaller = carrier.apply_face(cell, upper=finished)
-            cells.append(smaller)
-            steps.append(DownStep(finished))
-            yield from walk(smaller, budget, cells, steps)
-            cells.pop()
-            steps.pop()
 
     for cell in sorted(automaton.start):
         active = carrier.dim(cell)
@@ -311,7 +312,7 @@ def language(automaton: Hda, max_events: int) -> Language:
     subsumption-closed language with this event bound.
     """
     carrier = automaton.carrier
-    ups = _up_index(carrier)
+    moves = _moves(carrier)
     found: set[Ipomset] = set()
     seen: set[tuple[str, Ipomset]] = set()
     stack: list[tuple[str, Ipomset]] = []
@@ -327,23 +328,15 @@ def language(automaton: Hda, max_events: int) -> Language:
         cell, label = stack.pop()
         if cell in automaton.accept:
             found.add(label)
-        for bigger, started in ups[cell]:
-            if label.size + len(started) > max_events:
+        for step, there, word in moves[cell]:
+            if label.size + _fresh(step) > max_events:
                 continue
             try:
-                grown = glue(label, _up_label(carrier.word(bigger), started))
+                state = (there, glue(label, _slice(word, step)))
             except InternalOrderCycle:
                 # No canonical label exists down this branch, nor down any
                 # extension of it; see the module docstring.
                 continue
-            state = (bigger, grown)
-            if state not in seen:
-                seen.add(state)
-                stack.append(state)
-        for finished in _down_choices(carrier.dim(cell)):
-            smaller = carrier.apply_face(cell, upper=finished)
-            shrunk = glue(label, _down_label(carrier.word(cell), finished))
-            state = (smaller, shrunk)
             if state not in seen:
                 seen.add(state)
                 stack.append(state)

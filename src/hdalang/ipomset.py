@@ -24,9 +24,9 @@ equal, which turns structure comparison into tuple comparison.
 The module provides:
 
 * :class:`Ipomset` -- the canonical, immutable representation;
-* :func:`validate` / :func:`canonicalize` -- build canonical ipomsets from
-  raw data over arbitrary event identities, rejecting malformed input with
-  a precise error type;
+* :func:`validate` -- builds the canonical ipomset from raw data over
+  arbitrary event identities, rejecting malformed input with a precise
+  error type;
 * :func:`subsumes` -- the refinement preorder ("more ordered implements
   less ordered"), returning an explicit witness bijection;
 * :func:`interval_representation` -- recognise interval orders and either
@@ -38,9 +38,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence, TypeVar
 
 Pair = tuple[int, int]
+_T = TypeVar("_T")
 
 
 # --- errors -----------------------------------------------------------------
@@ -105,33 +106,6 @@ def transitive_closure(pairs: Iterable[Pair]) -> frozenset[Pair]:
                 outs |= extra
                 changed = True
     return frozenset((a, b) for a, outs in succ.items() for b in outs)
-
-
-def linearize(n: int, edges: frozenset[Pair]) -> list[int] | None:
-    """Topologically sort ``0..n-1`` under ``edges``; ``None`` if cyclic.
-
-    Callers pass relations that order every pair of distinct elements, so a
-    successful sort is unique; ties would indicate a caller bug.
-    """
-    indeg = [0] * n
-    succ: list[list[int]] = [[] for _ in range(n)]
-    for a, b in edges:
-        indeg[b] += 1
-        succ[a].append(b)
-    order: list[int] = []
-    ready = [v for v in range(n) if indeg[v] == 0]
-    while ready:
-        if len(ready) > 1:
-            # The union of precedence and event order relates every pair,
-            # so at most one element can be minimal at a time.
-            raise AssertionError("relation passed to linearize is not total")
-        v = ready.pop()
-        order.append(v)
-        for w in succ[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                ready.append(w)
-    return order if len(order) == n else None
 
 
 # --- canonical representation ------------------------------------------------
@@ -229,6 +203,52 @@ class Ipomset:
 EMPTY: Ipomset = Ipomset((), frozenset(), frozenset(), frozenset())
 
 
+def _unchecked(cls: type[_T], **fields: object) -> _T:
+    """An instance of the frozen dataclass ``cls`` holding ``fields`` as given.
+
+    Skips ``__post_init__``, so it is only for values the library built
+    from checked ones: they must already have the field types and the
+    invariants the checked constructor would establish.
+    """
+    value = object.__new__(cls)
+    for name, field_value in fields.items():
+        object.__setattr__(value, name, field_value)
+    return value
+
+
+def _canonical(
+    labels: Sequence[str],
+    prec: frozenset[Pair],
+    order: Iterable[Pair],
+    sources: Iterable[int],
+    targets: Iterable[int],
+) -> Ipomset | None:
+    """Number events along ``prec`` united with ``order``; ``None`` if cyclic.
+
+    ``labels`` names the events ``0..n-1``, ``prec`` is their transitively
+    closed precedence, and ``order`` orders each pair that ``prec`` leaves
+    unordered in one direction, so the union relates every pair of events
+    exactly once.  Such a relation is acyclic exactly when the numbers of
+    events before each event are ``0..n-1``, and that number is the event's
+    canonical one.  The interfaces must already be extremal in ``prec``.
+    """
+    n = len(labels)
+    rank = [0] * n
+    for _, b in prec:
+        rank[b] += 1
+    for _, b in order:
+        rank[b] += 1
+    if sorted(rank) != list(range(n)):
+        return None
+    return _unchecked(
+        Ipomset,
+        labels=tuple(labels[x] for x in sorted(range(n), key=rank.__getitem__)),
+        precedence=frozenset((rank[a], rank[b]) for a, b in prec),
+        sources=frozenset(rank[s] for s in sources),
+        targets=frozenset(rank[t] for t in targets),
+    )
+
+
 # --- construction from raw data ----------------------------------------------
 
 
@@ -312,36 +332,12 @@ def validate(
         if any(a == t for a, _ in prec):
             raise TargetNotMaximal(f"target event {events[t]!r} has a successor")
 
-    total = prec | essential
-    position = linearize(n, total)
-    if position is None:
+    result = _canonical([labels[e] for e in events], prec, essential, src, tgt)
+    if result is None:
         raise EventOrderCycle(
             "precedence and event order cannot be linearised together"
         )
-    renumber = {old: new for new, old in enumerate(position)}
-    return Ipomset(
-        labels=tuple(labels[events[old]] for old in position),
-        precedence=frozenset((renumber[a], renumber[b]) for a, b in prec),
-        sources=frozenset(renumber[s] for s in src),
-        targets=frozenset(renumber[t] for t in tgt),
-    )
-
-
-def canonicalize(
-    labels: Mapping[Hashable, str],
-    precedence: Iterable[tuple[Hashable, Hashable]] = (),
-    event_order: Iterable[tuple[Hashable, Hashable]] = (),
-    sources: Iterable[Hashable] = (),
-    targets: Iterable[Hashable] = (),
-) -> Ipomset:
-    """Renumber raw ipomset data into canonical form.
-
-    Identical to :func:`validate`; the separate name signals intent when
-    the input is already believed well formed.  The result is independent
-    of the original event identities, and canonicalizing a canonical
-    ipomset returns it unchanged.
-    """
-    return validate(labels, precedence, event_order, sources, targets)
+    return result
 
 
 # --- convenience constructors -------------------------------------------------
@@ -564,16 +560,9 @@ def glue(p: Ipomset, q: Ipomset) -> Ipomset:
     # Carrier: p's events keep their numbers; q's interface events are
     # identified with p's targets; the rest of q gets fresh numbers.
     carry = dict(zip(q_sources, p_targets))
-    next_id = p.size
-    for b in range(q.size):
-        if b not in carry:
-            carry[b] = next_id
-            next_id += 1
-    total = next_id
-
-    labels: dict[int, str] = {x: p.labels[x] for x in range(p.size)}
-    for b in range(q.size):
-        labels[carry[b]] = q.labels[b]
+    fresh = [b for b in range(q.size) if b not in carry]
+    carry.update((b, p.size + k) for k, b in enumerate(fresh))
+    labels = p.labels + tuple(q.labels[b] for b in fresh)
 
     raw = set(p.precedence)
     raw |= {(carry[a], carry[b]) for a, b in q.precedence}
@@ -585,34 +574,19 @@ def glue(p: Ipomset, q: Ipomset) -> Ipomset:
         if b not in q.sources
     }
     prec = transitive_closure(raw)
-    # Cross edges only run from p into q's fresh events and q-internal
-    # edges never re-enter the interface, so no cycle can arise here.
-    assert not any(a == b for a, b in prec), "glued precedence acquired a cycle"
 
-    # Inherited event order: concurrent pairs survive inside one operand,
-    # where they keep that operand's direction.
-    order: set[Pair] = set()
-    for x, y in combinations(range(p.size), 2):
-        if (x, y) not in prec and (y, x) not in prec:
-            order.add((x, y))
-    for a, b in combinations(range(q.size), 2):
-        u, v = carry[a], carry[b]
-        if (u, v) not in prec and (v, u) not in prec:
-            order.add((u, v))
-
-    position = linearize(total, frozenset(prec | order))
-    if position is None:
+    # The new precedence only joins a non-target of p to a non-source of q,
+    # so a pair inside one operand keeps its relation and its event order.
+    order = p.event_order | {(carry[a], carry[b]) for a, b in q.event_order}
+    result = _canonical(
+        labels, prec, order, p.sources, (carry[t] for t in q.targets)
+    )
+    if result is None:
         raise InternalOrderCycle(
             "gluing produced precedence and event order that cannot be "
             "linearised together"
         )
-    renumber = {old: new for new, old in enumerate(position)}
-    return Ipomset(
-        labels=tuple(labels[old] for old in position),
-        precedence=frozenset((renumber[a], renumber[b]) for a, b in prec),
-        sources=frozenset(renumber[s] for s in p.sources),
-        targets=frozenset(renumber[carry[t]] for t in q.targets),
-    )
+    return result
 
 
 def parallel(p: Ipomset, q: Ipomset) -> Ipomset:
@@ -623,7 +597,8 @@ def parallel(p: Ipomset, q: Ipomset) -> Ipomset:
     block numbering encodes for free.
     """
     shift = p.size
-    return Ipomset(
+    return _unchecked(
+        Ipomset,
         labels=p.labels + q.labels,
         precedence=p.precedence
         | frozenset((a + shift, b + shift) for a, b in q.precedence),

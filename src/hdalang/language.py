@@ -24,9 +24,10 @@ from hdalang.ipomset import (
     InternalOrderCycle,
     Ipomset,
     SequentialMismatch,
+    _canonical,
+    _unchecked,
     glue,
     is_interval,
-    linearize,
     parallel,
     subsumes,
     transitive_closure,
@@ -102,7 +103,7 @@ def normalize(ipomsets: Iterable[Ipomset], event_bound: int | None = None) -> La
                 break
         if not dominated:
             keep.append(p)
-    return Language(frozenset(keep), event_bound)
+    return _unchecked(Language, generators=frozenset(keep), event_bound=event_bound)
 
 
 def contains(lang: Language, p: Ipomset) -> bool:
@@ -186,10 +187,9 @@ def par_closure_bounded(lang: Language, max_factors: int) -> Language:
 
 def union(first: Language, second: Language) -> Language:
     """Union of ideals; generators are re-normalised jointly."""
-    bound: int | None = None
-    if first.event_bound is not None and second.event_bound is not None:
-        bound = min(first.event_bound, second.event_bound)
-    return normalize(first.generators | second.generators, bound)
+    return normalize(
+        first.generators | second.generators, _combined_bound(first, second)
+    )
 
 
 def restrict(lang: Language, max_events: int) -> Language:
@@ -198,9 +198,10 @@ def restrict(lang: Language, max_events: int) -> Language:
     Subsumption preserves event counts, so small members of the ideal are
     generated by small generators and the restriction is exact.
     """
-    return Language(
-        frozenset(g for g in lang.generators if g.size <= max_events),
-        max_events,
+    return _unchecked(
+        Language,
+        generators=frozenset(g for g in lang.generators if g.size <= max_events),
+        event_bound=max_events,
     )
 
 
@@ -259,36 +260,18 @@ def extensions(q: Ipomset) -> frozenset[Ipomset]:
             continue
         if any(a in q.targets for a, _ in prec):
             continue
-        candidate = _renumber_extension(q, prec, n)
+        # Pairs still concurrent under ``prec`` inherit ``q``'s event order
+        # (index order); if that union is cyclic the extension does not
+        # exist as a canonical ipomset.
+        inherited = [
+            (i, j)
+            for i, j in combinations(range(n), 2)
+            if (i, j) not in prec and (j, i) not in prec
+        ]
+        candidate = _canonical(q.labels, prec, inherited, q.sources, q.targets)
         if candidate is not None and is_interval(candidate):
             out.add(candidate)
     return frozenset(out)
-
-
-def _renumber_extension(
-    q: Ipomset, prec: frozenset[tuple[int, int]], n: int
-) -> Ipomset | None:
-    """Canonicalize one precedence extension of ``q``; ``None`` if inconsistent.
-
-    Pairs still concurrent under ``prec`` inherit ``q``'s event order
-    (index order); if that union is cyclic the extension does not exist as
-    a canonical ipomset.
-    """
-    inherited = frozenset(
-        (i, j)
-        for i, j in combinations(range(n), 2)
-        if (i, j) not in prec and (j, i) not in prec
-    )
-    order = linearize(n, frozenset(prec | inherited))
-    if order is None:
-        return None
-    renumber = {old: new for new, old in enumerate(order)}
-    return Ipomset(
-        labels=tuple(q.labels[old] for old in order),
-        precedence=frozenset((renumber[a], renumber[b]) for a, b in prec),
-        sources=frozenset(renumber[s] for s in q.sources),
-        targets=frozenset(renumber[t] for t in q.targets),
-    )
 
 
 def expand(lang: Language, max_events: int) -> frozenset[Ipomset]:

@@ -24,7 +24,6 @@ from hdalang.ipomset import (
     InternalOrderCycle,
     Ipomset,
     SequentialMismatch,
-    transitive_closure,
     validate,
 )
 from hdalang.precubical import PrecubicalSet
@@ -35,13 +34,23 @@ Pair = tuple[int, int]
 # --- exhaustive enumeration -------------------------------------------------
 
 
+def naive_closure(pairs: frozenset[Pair]) -> frozenset[Pair]:
+    """Transitive closure by composing the relation with itself to a fixpoint."""
+    closed = set(pairs)
+    while True:
+        composed = {(a, d) for a, b in closed for c, d in closed if b == c}
+        if composed <= closed:
+            return frozenset(closed)
+        closed |= composed
+
+
 def natural_orders(n: int) -> list[frozenset[Pair]]:
     """All transitively closed strict orders on 0..n-1 with increasing pairs."""
     increasing = list(combinations(range(n), 2))
     out = []
     for bits in range(1 << len(increasing)):
         chosen = frozenset(p for k, p in enumerate(increasing) if bits >> k & 1)
-        if transitive_closure(chosen) == chosen:
+        if naive_closure(chosen) == chosen:
             out.append(chosen)
     return out
 

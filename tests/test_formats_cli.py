@@ -367,6 +367,34 @@ class TestCliFailures:
         )
         assert read_json(capsys)["error"] == "ValueError"
 
+    def test_negative_counts_are_exit_2(self, tmp_path, capsys):
+        hda = write_doc(tmp_path, "hda.json", hda_to_doc(edge_automaton("a")))
+        lang = write_doc(
+            tmp_path, "lang.json", language_to_doc(normalize([point("a")]))
+        )
+        for argv in (
+            ["language", hda, "--max-events", "-1"],
+            ["expand", lang, "--max-events", "-1"],
+            ["replicate", hda, "--n", "-2"],
+            ["closure", lang, "--n", "-1"],
+            ["chain", hda, "--n", "-1", "--base", "v0", "--far", "v1"],
+        ):
+            with pytest.raises(SystemExit) as exited:
+                main(argv)
+            assert exited.value.code == 2, argv
+            captured = capsys.readouterr()
+            assert captured.out == "", argv
+            assert "non-negative" in captured.err, argv
+
+    def test_chain_of_zero_stages_is_exit_1(self, tmp_path, capsys):
+        seed = write_doc(
+            tmp_path, "seed.json", hda_to_doc(edge_automaton("a"))
+        )
+        assert (
+            main(["chain", seed, "--n", "0", "--base", "v0", "--far", "v1"]) == 1
+        )
+        assert read_json(capsys)["error"] == "ValueError"
+
 
 class TestDot:
     def test_marks_and_edges(self):

@@ -224,7 +224,7 @@ class TestSetOperations:
         left = normalize([point("a")], event_bound=2)
         right = normalize([point("b")], event_bound=5)
         assert union(left, right).event_bound == 2
-        assert union(left, normalize([point("b")])).event_bound is None
+        assert union(left, normalize([point("b")])).event_bound == 2
 
     def test_restrict_drops_large_generators(self):
         lang = normalize([point("a"), from_concurrent(["a", "a", "a"])])
