@@ -9,8 +9,8 @@ a ``"type"`` field:
     essential part -- pairs precedence leaves unordered); ``sources`` and
     ``targets`` are index lists.
 ``language``
-    ``generators`` is a list of ipomset documents, ``eventBound`` an
-    integer or null.
+    ``generators`` is a list of ipomset documents, ``eventBound`` a
+    non-negative integer or null.
 ``ipomsets``
     a plain list of ipomset documents under ``members`` (used for
     expansion results).
@@ -135,8 +135,9 @@ def language_from_doc(doc: Mapping[str, Any]) -> Language:
     _expect(doc.get("type") == "language", "expected a language document")
     bound = doc.get("eventBound")
     _expect(
-        bound is None or (isinstance(bound, int) and not isinstance(bound, bool)),
-        "eventBound must be an integer or null",
+        bound is None
+        or (isinstance(bound, int) and not isinstance(bound, bool) and bound >= 0),
+        "eventBound must be a non-negative integer or null",
     )
     gens = doc.get("generators")
     _expect(isinstance(gens, list), "generators must be a list")

@@ -12,10 +12,12 @@ the other started", with the events active at the two ends as interfaces.
 The language of an automaton collects the labels of its accepting paths
 and is closed under subsumption; since cyclic automata have unboundedly
 many events, languages here are always extracted *up to an event budget*.
-There is one path semantics: a label glues one piece per step, and the
-label of a single path (:func:`ev_label`), the path enumeration and the
-memoised language extraction all take their steps and pieces from the
-same code.
+There is one path semantics: a label is the glue of one piece per step
+(the higher cell's events, with the started ones unsourced or the
+finished ones untargeted), built in closed form by one step function.
+The label of a single path (:func:`ev_label`), the path enumeration and
+the memoised language extraction all take their steps from one table and
+their labels from that one step.
 
 Paths whose accumulated precedence contradicts the order in which
 concurrent events were started admit no canonical label; they are
@@ -31,13 +33,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, Mapping, Sequence
 
-from hdalang.ipomset import (
-    InternalOrderCycle,
-    Ipomset,
-    _unchecked,
-    glue,
-    identity,
-)
+from hdalang.ipomset import InternalOrderCycle, Ipomset, _unchecked, identity
 from hdalang.language import Language, normalize
 from hdalang.precubical import (
     PrecubicalInvariant,
@@ -199,29 +195,76 @@ def validate_path(automaton: Hda, path: Path) -> None:
 # --- path semantics -----------------------------------------------------------------
 
 
-def _slice(word: Word, step: Step) -> Ipomset:
-    """The label piece of ``step``; ``word`` is that of its higher cell.
+def _advance(label: Ipomset, step: Step, word: Word) -> Ipomset:
+    """The label after ``step``; ``word`` is that of the step's higher cell.
 
-    Both pieces carry the higher cell's events, all concurrent.  An up-step
-    leaves the events it starts out of the source interface, a down-step
-    leaves the events it finishes out of the target interface.
+    This is the glue of ``label`` with the step's piece (the higher cell's
+    events, all concurrent, with the started ones unsourced or the finished
+    ones untargeted), built in closed form.  ``label``'s targets are the
+    current cell's events in word order.  A down-step only drops the
+    finished events from the targets.  An up-step keeps every non-target's
+    number ``x``: its predecessors are the ``x`` events before it, and none
+    of them is fresh.  Each fresh event comes after the ``m`` non-targets
+    and the word events before it, so the one at word position ``i`` gets
+    ``m + i``.  An old target comes after its old predecessors and the
+    fresh events before it in the word, so it moves up by their number.
+    These counts are a numbering exactly when precedence and event order
+    are acyclic together; otherwise the label does not exist.
+
+    Raises:
+        InternalOrderCycle: the numbers are not ``0..n-1`` for the ``n``
+            events of the result.
     """
-    every = frozenset(range(len(word)))
-    rest = every - {p - 1 for p in step.positions}
-    up = isinstance(step, UpStep)
+    targets = sorted(label.targets)
+    if isinstance(step, DownStep):
+        done = {targets[p - 1] for p in step.positions}
+        return _unchecked(
+            Ipomset,
+            labels=label.labels,
+            precedence=label.precedence,
+            sources=label.sources,
+            targets=label.targets - done,
+        )
+    m = label.size - len(targets)
+    number = list(range(label.size))
+    ends: list[int] = []
+    fresh: list[int] = []
+    olds = iter(targets)
+    for i in range(len(word)):
+        if i + 1 in step.positions:
+            fresh.append(m + i)
+            ends.append(m + i)
+        else:
+            t = next(olds)
+            number[t] = t + len(fresh)
+            ends.append(number[t])
+    size = label.size + len(fresh)
+    labels: list[str | None] = [None] * size
+    for x, k in enumerate(number):
+        labels[k] = label.labels[x]
+    for k in fresh:
+        labels[k] = word[k - m]
+    if None in labels:
+        raise InternalOrderCycle(
+            "the step's event order conflicts with the label's precedence"
+        )
+    # A predecessor of a non-target is a non-target, so the new pairs need
+    # no closing.
+    before = [x for x in range(label.size) if x not in label.targets]
     return _unchecked(
         Ipomset,
-        labels=word,
-        precedence=frozenset(),
-        sources=rest if up else every,
-        targets=every if up else rest,
+        labels=tuple(labels),
+        precedence=frozenset((number[a], number[b]) for a, b in label.precedence)
+        | frozenset((x, f) for x in before for f in fresh),
+        sources=frozenset(number[s] for s in label.sources),
+        targets=frozenset(ends),
     )
 
 
 def _moves(carrier: PrecubicalSet) -> dict[str, list[tuple[Step, str, Word]]]:
     """For each cell, the steps leaving it: ``(step, next cell, word)``.
 
-    ``word`` is that of the step's higher cell, which :func:`_slice` takes.
+    ``word`` is that of the step's higher cell, which :func:`_advance` takes.
     Up-steps come first, by upper cell in dimension-then-id order, then
     down-steps; within a cell, position sets go by size, then
     lexicographically.
@@ -252,11 +295,11 @@ def _fresh(step: Step) -> int:
 def ev_label(automaton: Hda, path: Path) -> Ipomset:
     """The ipomset observed along a path.
 
-    The label starts as the identity on the first cell's word and glues in
-    one slice per step: an up-step contributes its target cell's events
-    with the fresh ones unsourced, a down-step removes the finished events
-    from the target interface.  Events active in the first cell are
-    sources, events active in the last cell are targets.
+    The label starts as the identity on the first cell's word and takes
+    one :func:`_advance` per step: an up-step adds the events it starts,
+    after every finished event, and a down-step removes the events it
+    finishes from the target interface.  Events active in the first cell
+    are sources, events active in the last cell are targets.
 
     Raises:
         InternalOrderCycle: the path's precedence contradicts the order in
@@ -268,7 +311,7 @@ def ev_label(automaton: Hda, path: Path) -> Ipomset:
     label = identity(carrier.word(path.first))
     for k, step in enumerate(path.steps):
         high = path.cells[k + 1] if isinstance(step, UpStep) else path.cells[k]
-        label = glue(label, _slice(carrier.word(high), step))
+        label = _advance(label, step, carrier.word(high))
     return label
 
 
@@ -308,8 +351,11 @@ def language(automaton: Hda, max_events: int) -> Language:
     Explores reachable pairs of (cell, accumulated label) with memoisation:
     the label's target interface always lists the current cell's active
     events in word order, so the pair determines all future behaviour.
-    Labels are collected at accepting cells and normalised into a
-    subsumption-closed language with this event bound.
+    Each step builds the next label in closed form with :func:`_advance`,
+    whose count of events before each event is also its acyclicity test;
+    a branch with no canonical label is cut there.  Labels are collected
+    at accepting cells and normalised into a subsumption-closed language
+    with this event bound.
     """
     carrier = automaton.carrier
     moves = _moves(carrier)
@@ -332,7 +378,7 @@ def language(automaton: Hda, max_events: int) -> Language:
             if label.size + _fresh(step) > max_events:
                 continue
             try:
-                state = (there, glue(label, _slice(word, step)))
+                state = (there, _advance(label, step, word))
             except InternalOrderCycle:
                 # No canonical label exists down this branch, nor down any
                 # extension of it; see the module docstring.

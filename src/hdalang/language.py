@@ -80,6 +80,15 @@ def normalize(ipomsets: Iterable[Ipomset], event_bound: int | None = None) -> La
     unchanged.  Duplicates and ipomsets subsumed by another member are
     then dropped, leaving the antichain of maximal elements.
 
+    The maxima come from one pass over the distinct members sorted by
+    their number of precedence pairs.  A refinement has at least the pairs
+    of what it refines, and as many only when the two are equal, so a
+    member can only be dominated by one with strictly fewer pairs, which
+    comes earlier.  Refinement is transitive, so a dominated member is
+    dominated by a maximal one, and each member is tested only against the
+    generators kept so far: ``pool * generators`` calls of :func:`subsumes`
+    at most, in an order that does not depend on hashing.
+
     Replacing a non-interval ipomset enumerates its order extensions,
     which is exponential in its concurrency; callers composing large
     generators should bound the result first where possible.
@@ -90,18 +99,12 @@ def normalize(ipomsets: Iterable[Ipomset], event_bound: int | None = None) -> La
             flat.add(p)
         else:
             flat |= extensions(p)
-    pool = list(flat)
     keep: list[Ipomset] = []
-    for i, p in enumerate(pool):
-        dominated = False
-        for j, q in enumerate(pool):
-            if i != j and subsumes(p, q) is not None:
-                # p refines q, so q's ideal already contains p.  Equal
-                # canonical forms were collapsed by the set() above, and
-                # distinct forms never subsume both ways.
-                dominated = True
-                break
-        if not dominated:
+    for p in sorted(flat, key=lambda member: len(member.precedence)):
+        pairs = len(p.precedence)
+        if not any(
+            len(g.precedence) < pairs and subsumes(p, g) is not None for g in keep
+        ):
             keep.append(p)
     return _unchecked(Language, generators=frozenset(keep), event_bound=event_bound)
 

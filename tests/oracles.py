@@ -14,18 +14,8 @@ from __future__ import annotations
 import random
 from itertools import combinations, permutations, product
 
-from hdalang.hda import (
-    Hda,
-    enumerate_accepting_paths,
-    ev_label,
-)
-from hdalang.ipomset import (
-    EventOrderCycle,
-    InternalOrderCycle,
-    Ipomset,
-    SequentialMismatch,
-    validate,
-)
+from hdalang.hda import Hda, Step, UpStep, enumerate_accepting_paths
+from hdalang.ipomset import Ipomset, SequentialMismatch, validate
 from hdalang.precubical import PrecubicalSet
 
 Pair = tuple[int, int]
@@ -156,10 +146,11 @@ def oracle_glue(p: Ipomset, q: Ipomset) -> Ipomset | None:
     """Sequential composition built naively over tagged event names.
 
     Constructs the composite's label map, precedence generators and event
-    order generators on strings like ``"p0"``/``"q3"`` and hands the pile
-    to :func:`hdalang.ipomset.validate`.  Only the renumbering machinery is
-    shared with the implementation under test; the composite's relations
-    are assembled by an independent route.
+    order generators on strings like ``"p0"``/``"q3"``, closes their union
+    with :func:`naive_closure`, and numbers each event by how many events
+    come before it in that closure.  Only the public :class:`Ipomset`
+    constructor, which checks the result, is shared with the implementation
+    under test.
 
     Returns ``None`` when the inherited event order knots with the new
     cross precedence, i.e. when the composite has no canonical form.
@@ -193,16 +184,18 @@ def oracle_glue(p: Ipomset, q: Ipomset) -> Ipomset | None:
     order += [
         (name[("q", a)], name[("q", b)]) for a, b in combinations(range(q.size), 2)
     ]
-    try:
-        return validate(
-            labels,
-            precedence=prec,
-            event_order=order,
-            sources=[f"p{s}" for s in p.sources],
-            targets=[name[("q", t)] for t in q.targets],
-        )
-    except EventOrderCycle:
+    together = naive_closure(frozenset(prec) | frozenset(order))
+    if any(a == b for a, b in together):
         return None
+    rank = {e: sum(1 for _, b in together if b == e) for e in labels}
+    return Ipomset(
+        labels=tuple(labels[e] for e in sorted(labels, key=rank.__getitem__)),
+        precedence=frozenset(
+            (rank[a], rank[b]) for a, b in naive_closure(frozenset(prec))
+        ),
+        sources=frozenset(rank[f"p{s}"] for s in p.sources),
+        targets=frozenset(rank[name[("q", t)]] for t in q.targets),
+    )
 
 
 # --- event-order-blind comparison ---------------------------------------------
@@ -233,14 +226,36 @@ def precedence_signature(p: Ipomset) -> tuple:
 
 
 def path_label_language(automaton: Hda, max_events: int) -> set[Ipomset]:
-    """Labels of all accepting paths, skipping unrepresentable ones."""
+    """Labels of all accepting paths, skipping unrepresentable ones.
+
+    Each label folds :func:`oracle_glue` over one piece per step, built
+    from the path's cell words: the higher cell's events, all concurrent,
+    with the events an up-step starts left out of the sources and the
+    events a down-step finishes left out of the targets.
+    """
+    carrier = automaton.carrier
     out: set[Ipomset] = set()
     for path in enumerate_accepting_paths(automaton, max_events):
-        try:
-            out.add(ev_label(automaton, path))
-        except InternalOrderCycle:
-            continue
+        word = carrier.word(path.first)
+        every = frozenset(range(len(word)))
+        label: Ipomset | None = Ipomset(word, frozenset(), every, every)
+        for k, step in enumerate(path.steps):
+            high = path.cells[k + 1] if isinstance(step, UpStep) else path.cells[k]
+            label = oracle_glue(label, step_piece(carrier.word(high), step))
+            if label is None:
+                break
+        else:
+            out.add(label)
     return out
+
+
+def step_piece(word: tuple[str, ...], step: Step) -> Ipomset:
+    """The label piece of ``step``, given the word of its higher cell."""
+    every = frozenset(range(len(word)))
+    rest = every - {p - 1 for p in step.positions}
+    if isinstance(step, UpStep):
+        return Ipomset(word, frozenset(), rest, every)
+    return Ipomset(word, frozenset(), every, rest)
 
 
 # --- random structures -----------------------------------------------------------

@@ -155,6 +155,12 @@ class TestDocumentErrors:
                 }
             )
 
+    def test_negative_event_bound(self):
+        for bound in (-1, -3):
+            doc = {"type": "language", "eventBound": bound, "generators": []}
+            with pytest.raises(DocumentError):
+                language_from_doc(doc)
+
     def test_non_interval_language_generator_is_intervalized(self):
         # A language document may carry any valid ipomset as a generator;
         # the denoted down-closure only keeps interval refinements.
@@ -385,6 +391,17 @@ class TestCliFailures:
             captured = capsys.readouterr()
             assert captured.out == "", argv
             assert "non-negative" in captured.err, argv
+
+    def test_negative_event_bound_is_exit_2(self, tmp_path, capsys):
+        path = write_doc(
+            tmp_path,
+            "lang.json",
+            '{"type":"language","eventBound":-3,"generators":[]}',
+        )
+        assert main(["validate", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "eventBound" in captured.err
 
     def test_chain_of_zero_stages_is_exit_1(self, tmp_path, capsys):
         seed = write_doc(

@@ -3,7 +3,10 @@
 Core claims exercised here:
 
 * Path validation ties steps to the carrier's face maps; ``ev_label``
-  glues one slice per step and respects path concatenation.
+  takes one closed-form step per path step and respects path
+  concatenation.
+* The closed-form step equals the oracle's glue of the label with the
+  step's piece, and fails exactly when that glue has no canonical form.
 * ``language`` agrees with the brute-force path-enumeration oracle on
   every fixture and on a batch of randomized automata.
 * Some geometrically valid paths revisit axes in an order their own
@@ -56,8 +59,9 @@ from hdalang import (
     validate_hda_map,
     validate_path,
 )
+from hdalang.hda import _advance, _moves
 from hdalang.samples import edge_automaton, grid_automaton, pushout_span
-from oracles import path_label_language, random_hda
+from oracles import oracle_glue, path_label_language, random_hda, step_piece
 
 
 def cube_automaton() -> Hda:
@@ -168,6 +172,67 @@ class TestPaths:
             head = Path(cells=run.cells[: cut + 1], steps=run.steps[:cut])
             tail = Path(cells=run.cells[cut:], steps=run.steps[cut:])
             assert glue(ev_label(x, head), ev_label(x, tail)) == ev_label(x, run)
+
+
+class TestAdvance:
+    """``_advance`` builds the glue of a label with one step's piece."""
+
+    @staticmethod
+    def check(automaton: Hda, max_events: int) -> tuple[int, int]:
+        """Compare every step ``language`` explores with the oracle's glue.
+
+        Returns how many steps were compared and how many had no label.
+        """
+        carrier = automaton.carrier
+        moves = _moves(carrier)
+        stack = [
+            (cell, identity(carrier.word(cell)))
+            for cell in sorted(automaton.start)
+            if carrier.dim(cell) <= max_events
+        ]
+        seen = set(stack)
+        steps = cycles = 0
+        while stack:
+            cell, label = stack.pop()
+            for step, there, word in moves[cell]:
+                started = len(step.positions) if isinstance(step, UpStep) else 0
+                if label.size + started > max_events:
+                    continue
+                steps += 1
+                expected = oracle_glue(label, step_piece(word, step))
+                if expected is None:
+                    cycles += 1
+                    with pytest.raises(InternalOrderCycle):
+                        _advance(label, step, word)
+                    continue
+                got = _advance(label, step, word)
+                assert got == expected
+                assert hash(got) == hash(expected)
+                assert type(got.labels) is tuple
+                for field in (got.precedence, got.sources, got.targets):
+                    assert type(field) is frozenset
+                state = (there, got)
+                if state not in seen:
+                    seen.add(state)
+                    stack.append(state)
+        return steps, cycles
+
+    def test_matches_oracle_glue_on_fixtures(self):
+        steps, cycles = self.check(tensor_power(edge_automaton("a"), 4), 4)
+        assert cycles > 0
+        assert steps > cycles
+        steps, _ = self.check(grid_automaton(), 4)
+        assert steps > 0
+
+    def test_matches_oracle_glue_on_random_automata(self):
+        rnd = random.Random(3303)
+        total = knotted = 0
+        for _ in range(40):
+            steps, cycles = self.check(random_hda(rnd), 4)
+            total += steps
+            knotted += cycles
+        assert total > 1000
+        assert knotted > 0
 
 
 class TestUnrepresentablePaths:

@@ -4,8 +4,10 @@ Core claims exercised here:
 
 * ``Language`` holds an antichain of interval generators and rejects
   non-interval input.
-* ``normalize`` drops subsumed members; ``contains`` answers membership
-  in the generated down-closure.
+* ``normalize`` drops subsumed members, keeping the maxima a brute-force
+  scan finds whatever the input order, with one ``subsumes`` call per
+  member against the generators kept so far; ``contains`` answers
+  membership in the generated down-closure.
 * ``seq_compose``/``par_compose`` compose generator-wise,
   ``par_closure_bounded`` folds bounded parallel powers,
   ``union``/``restrict`` behave set-like.
@@ -17,6 +19,7 @@ Core claims exercised here:
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 
@@ -33,6 +36,7 @@ from hdalang import (
     identity,
     is_equal,
     is_subset,
+    language,
     normalize,
     par_closure_bounded,
     par_compose,
@@ -40,10 +44,19 @@ from hdalang import (
     point,
     restrict,
     seq_compose,
+    tensor_power,
     union,
 )
 from hdalang.ipomset import Ipomset
-from oracles import oracle_down_set, random_ipomset, universe, universe_up_to
+from hdalang.samples import edge_automaton
+from oracles import (
+    oracle_down_set,
+    oracle_is_interval,
+    oracle_subsumes,
+    random_ipomset,
+    universe,
+    universe_up_to,
+)
 
 
 EMPTY_LANGUAGE = Language(generators=frozenset())
@@ -87,6 +100,83 @@ class TestLanguageConstruction:
     def test_event_bound_is_recorded(self):
         lang = normalize([point("a")], event_bound=3)
         assert lang.event_bound == 3
+
+
+class TestNormalize:
+    """``normalize`` keeps exactly the maximal interval members."""
+
+    @staticmethod
+    def pools(seed: int, count: int) -> list[list[Ipomset]]:
+        """Seeded pools of up to 4 events, some with 2+2 parallel products."""
+        rnd = random.Random(seed)
+        out = []
+        for _ in range(count):
+            pool = [random_ipomset(rnd, 4) for _ in range(rnd.randint(1, 10))]
+            for _ in range(rnd.randint(0, 2)):
+                first, second = (
+                    from_chain(
+                        [rnd.choice("ab"), rnd.choice("ab")],
+                        sources={0} if rnd.random() < 0.3 else (),
+                        targets={1} if rnd.random() < 0.3 else (),
+                    )
+                    for _ in range(2)
+                )
+                pool.append(parallel(first, second))
+            out.append(pool)
+        return out
+
+    def test_matches_brute_force_maxima(self):
+        sized = {n: universe(n) for n in range(5)}
+
+        def interval_down_set(q):
+            same_shape = [
+                u
+                for u in sized[q.size]
+                if sorted(u.labels) == sorted(q.labels)
+                and len(u.sources) == len(q.sources)
+                and len(u.targets) == len(q.targets)
+            ]
+            return {u for u in oracle_down_set(q, same_shape) if oracle_is_interval(u)}
+
+        non_interval = 0
+        for pool in self.pools(5150, 25):
+            flat = set()
+            for p in pool:
+                if oracle_is_interval(p):
+                    flat.add(p)
+                else:
+                    non_interval += 1
+                    flat |= interval_down_set(p)
+            maxima = {
+                p for p in flat if not any(q != p and oracle_subsumes(p, q) for q in flat)
+            }
+            assert normalize(pool, event_bound=4) == Language(frozenset(maxima), 4)
+        assert non_interval > 5
+
+    def test_input_order_does_not_matter(self):
+        rnd = random.Random(5151)
+        for pool in self.pools(5152, 40):
+            expected = normalize(pool)
+            shuffled = list(pool)
+            rnd.shuffle(shuffled)
+            assert normalize(reversed(pool)) == expected
+            assert normalize(shuffled) == expected
+
+    def test_subsumes_calls_on_the_five_cube(self, monkeypatch):
+        # 272 path labels and one generator: each label other than the
+        # generator is tested once, against the generator.
+        module = sys.modules["hdalang.language"]
+        real = module.subsumes
+        calls = []
+
+        def counting(p, q):
+            calls.append((p, q))
+            return real(p, q)
+
+        monkeypatch.setattr(module, "subsumes", counting)
+        lang = language(tensor_power(edge_automaton("a"), 5), 5)
+        assert lang.generators == frozenset({from_concurrent(["a"] * 5)})
+        assert len(calls) <= 271
 
 
 # --- membership -------------------------------------------------------------
