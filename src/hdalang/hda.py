@@ -219,11 +219,7 @@ def _advance(label: Ipomset, step: Step, word: Word) -> Ipomset:
     if isinstance(step, DownStep):
         done = {targets[p - 1] for p in step.positions}
         return _unchecked(
-            Ipomset,
-            labels=label.labels,
-            precedence=label.precedence,
-            sources=label.sources,
-            targets=label.targets - done,
+            label.labels, label.precedence, label.sources, label.targets - done
         )
     m = label.size - len(targets)
     number = list(range(label.size))
@@ -252,12 +248,11 @@ def _advance(label: Ipomset, step: Step, word: Word) -> Ipomset:
     # no closing.
     before = [x for x in range(label.size) if x not in label.targets]
     return _unchecked(
-        Ipomset,
-        labels=tuple(labels),
-        precedence=frozenset((number[a], number[b]) for a, b in label.precedence)
+        tuple(labels),
+        frozenset((number[a], number[b]) for a, b in label.precedence)
         | frozenset((x, f) for x in before for f in fresh),
-        sources=frozenset(number[s] for s in label.sources),
-        targets=frozenset(ends),
+        frozenset(number[s] for s in label.sources),
+        frozenset(ends),
     )
 
 

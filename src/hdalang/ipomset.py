@@ -21,6 +21,11 @@ is recovered as "all index-increasing pairs that precedence leaves
 unordered".  Two canonical ipomsets are isomorphic if and only if they are
 equal, which turns structure comparison into tuple comparison.
 
+The kernels work on bitmasks: each event's predecessors and successors as
+an ``int``, with its label and interface role.  The masks are derived from
+the stored fields on first use and kept on the instance; the stored fields,
+equality, hashing and every output are those of the canonical form above.
+
 The module provides:
 
 * :class:`Ipomset` -- the canonical, immutable representation;
@@ -38,10 +43,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Hashable, Iterable, Mapping, Sequence, TypeVar
+from typing import Hashable, Iterable, Mapping, Sequence
 
 Pair = tuple[int, int]
-_T = TypeVar("_T")
 
 
 # --- errors -----------------------------------------------------------------
@@ -87,25 +91,27 @@ class InternalOrderCycle(IpomsetError):
 
 
 def transitive_closure(pairs: Iterable[Pair]) -> frozenset[Pair]:
-    """Return the transitive closure of a binary relation on integers.
+    """Return the transitive closure of a binary relation on integers ≥ 0.
 
+    Warshall's algorithm on successor bitmasks: for each event ``k`` in
+    turn, every event that reaches ``k`` also reaches ``k``'s successors.
     The closure may be reflexive; callers decide whether that is an error.
     """
-    succ: dict[int, set[int]] = {}
+    succ: dict[int, int] = {}
     for a, b in pairs:
-        succ.setdefault(a, set()).add(b)
-    # Propagate reachability until a fixed point is reached.
-    changed = True
-    while changed:
-        changed = False
+        succ[a] = succ.get(a, 0) | 1 << b
+    for k, via in succ.items():
+        bit = 1 << k
         for a, outs in succ.items():
-            extra = set()
-            for b in outs:
-                extra |= succ.get(b, frozenset())
-            if not extra <= outs:
-                outs |= extra
-                changed = True
-    return frozenset((a, b) for a, outs in succ.items() for b in outs)
+            if outs & bit:
+                succ[a] = outs | via
+    closed = []
+    for a, outs in succ.items():
+        while outs:
+            bit = outs & -outs
+            closed.append((a, bit.bit_length() - 1))
+            outs ^= bit
+    return frozenset(closed)
 
 
 # --- canonical representation ------------------------------------------------
@@ -134,14 +140,21 @@ class Ipomset:
     sources: frozenset[int]
     targets: frozenset[int]
 
+    # Derived bitmasks, set by :func:`_masks` on first use; not a field.
+    _derived = None
+
     def __post_init__(self) -> None:
+        n = len(self.labels)
+        pairs = list(self.precedence)
+        for a, b in pairs:
+            if not (0 <= a < n and 0 <= b < n):
+                raise EventOrderCycle(
+                    f"precedence pair ({a}, {b}) names an event outside 0..{n - 1}"
+                )
         object.__setattr__(self, "labels", tuple(self.labels))
-        object.__setattr__(
-            self, "precedence", transitive_closure(self.precedence)
-        )
+        object.__setattr__(self, "precedence", transitive_closure(pairs))
         object.__setattr__(self, "sources", frozenset(self.sources))
         object.__setattr__(self, "targets", frozenset(self.targets))
-        n = len(self.labels)
         for lab in self.labels:
             if not isinstance(lab, str) or not lab:
                 raise LabelMissing(f"event label {lab!r} is not a non-empty string")
@@ -184,11 +197,13 @@ class Ipomset:
 
     def predecessors(self, event: int) -> frozenset[int]:
         """Strict precedence-predecessors of ``event``."""
-        return frozenset(a for a, b in self.precedence if b == event)
+        mask = _masks(self)[0][event]
+        return frozenset(a for a in range(self.size) if mask >> a & 1)
 
     def successors(self, event: int) -> frozenset[int]:
         """Strict precedence-successors of ``event``."""
-        return frozenset(b for a, b in self.precedence if a == event)
+        mask = _masks(self)[1][event]
+        return frozenset(b for b in range(self.size) if mask >> b & 1)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         marks = []
@@ -203,17 +218,61 @@ class Ipomset:
 EMPTY: Ipomset = Ipomset((), frozenset(), frozenset(), frozenset())
 
 
-def _unchecked(cls: type[_T], **fields: object) -> _T:
-    """An instance of the frozen dataclass ``cls`` holding ``fields`` as given.
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _unchecked(
+    labels: tuple[str, ...],
+    precedence: frozenset[Pair],
+    sources: frozenset[int],
+    targets: frozenset[int],
+) -> Ipomset:
+    """An :class:`Ipomset` holding the given fields as they are.
 
     Skips ``__post_init__``, so it is only for values the library built
     from checked ones: they must already have the field types and the
     invariants the checked constructor would establish.
     """
-    value = object.__new__(cls)
-    for name, field_value in fields.items():
-        object.__setattr__(value, name, field_value)
+    value = _new(Ipomset)
+    _set(value, "labels", labels)
+    _set(value, "precedence", precedence)
+    _set(value, "sources", sources)
+    _set(value, "targets", targets)
     return value
+
+
+_Key = tuple[str, bool, bool]
+_Masks = tuple[tuple[int, ...], tuple[int, ...], tuple[_Key, ...], dict[_Key, int]]
+
+
+def _masks(p: Ipomset) -> _Masks:
+    """Bitmasks of ``p``'s structure: ``(pred, succ, keys, pools)``.
+
+    Bit ``y`` of ``pred[x]`` (``succ[x]``) is set when ``y`` precedes
+    (follows) ``x``; ``keys[x]`` is event ``x``'s label and interface role,
+    and ``pools`` maps each key to the mask of the events that have it.
+    They are derived from the stored fields on first use and kept on the
+    instance.  The cache is written by attribute, never through
+    ``__dict__``, which would turn the instance's inline attribute values
+    into a full dictionary and cost memory on every cached ipomset.
+    """
+    masks = p._derived
+    if masks is None:
+        pred = [0] * p.size
+        succ = [0] * p.size
+        for a, b in p.precedence:
+            pred[b] |= 1 << a
+            succ[a] |= 1 << b
+        keys = tuple(
+            (lab, x in p.sources, x in p.targets) for x, lab in enumerate(p.labels)
+        )
+        pools: dict[_Key, int] = {}
+        for x, key in enumerate(keys):
+            pools[key] = pools.get(key, 0) | 1 << x
+        masks = (tuple(pred), tuple(succ), keys, pools)
+        _set(p, "_derived", masks)
+    return masks
 
 
 def _canonical(
@@ -241,11 +300,10 @@ def _canonical(
     if sorted(rank) != list(range(n)):
         return None
     return _unchecked(
-        Ipomset,
-        labels=tuple(labels[x] for x in sorted(range(n), key=rank.__getitem__)),
-        precedence=frozenset((rank[a], rank[b]) for a, b in prec),
-        sources=frozenset(rank[s] for s in sources),
-        targets=frozenset(rank[t] for t in targets),
+        tuple(labels[x] for x in sorted(range(n), key=rank.__getitem__)),
+        frozenset((rank[a], rank[b]) for a, b in prec),
+        frozenset(rank[s] for s in sources),
+        frozenset(rank[t] for t in targets),
     )
 
 
@@ -395,10 +453,6 @@ def identity(labels: Sequence[str]) -> Ipomset:
 # --- subsumption ---------------------------------------------------------------
 
 
-def _interface_key(p: Ipomset, event: int) -> tuple[str, bool, bool]:
-    return (p.labels[event], event in p.sources, event in p.targets)
-
-
 def subsumes(p: Ipomset, q: Ipomset) -> tuple[int, ...] | None:
     """Decide whether ``p`` refines ``q``; return the witness bijection.
 
@@ -407,6 +461,16 @@ def subsumes(p: Ipomset, q: Ipomset) -> tuple[int, ...] | None:
     before ``y``) and preserves the event order on pairs that stay
     concurrent.  Intuitively ``p`` has at least the ordering of ``q``, so
     every schedule of ``p`` is a schedule of ``q``.
+
+    Since ``f`` reflects precedence, ``p`` needs more precedence pairs than
+    ``q`` unless the two are equal.  The search is forward checking on
+    bitmasks.  Each ``p``-event starts with the ``q``-events of its label
+    and interface role that have no more predecessors and no more
+    successors than it has.  Events are mapped in index order, each to its
+    candidates in ascending order; a choice narrows the candidates of every
+    later event by one mask and backtracks as soon as one has none left.
+    Only dead branches are cut, so the witness found is the
+    lexicographically least one.
 
     Returns:
         A tuple ``w`` with ``w[x] = f(x)``, or ``None`` when no witness
@@ -419,49 +483,58 @@ def subsumes(p: Ipomset, q: Ipomset) -> tuple[int, ...] | None:
         return None
     if len(p.sources) != len(q.sources) or len(p.targets) != len(q.targets):
         return None
+    # ``f`` maps ``q``'s pairs into ``p``'s; with as many pairs it also
+    # preserves precedence, and then index order, so it is the identity.
+    if len(p.precedence) <= len(q.precedence):
+        return tuple(range(n)) if p == q else None
+    p_pred, p_succ, p_keys, _ = _masks(p)
+    q_pred, q_succ, _, q_pools = _masks(q)
 
-    # Candidate images for each p-event, grouped by label and interface role.
-    pools: dict[tuple[str, bool, bool], list[int]] = {}
-    for v in range(n):
-        pools.setdefault(_interface_key(q, v), []).append(v)
+    domains = []
     for x in range(n):
-        if _interface_key(p, x) not in pools:
+        below, above = p_pred[x].bit_count(), p_succ[x].bit_count()
+        pool = q_pools.get(p_keys[x], 0)
+        domain = 0
+        while pool:
+            bit = pool & -pool
+            pool ^= bit
+            u = bit.bit_length() - 1
+            if q_pred[u].bit_count() <= below and q_succ[u].bit_count() <= above:
+                domain |= bit
+        if not domain:
             return None
+        domains.append(domain)
+    image = [0] * n
 
-    image = [-1] * n
-    used = [False] * n
-
-    def consistent(x: int, u: int) -> bool:
-        for y in range(x):
-            v = image[y]
-            if (v, u) in q.precedence:
-                if (y, x) not in p.precedence:
-                    return False
-            elif (u, v) in q.precedence:
-                if (x, y) not in p.precedence:
-                    return False
-            else:
-                # Images concurrent in q: if the pair is concurrent in p,
-                # its event order (index order, y < x) must transfer.
-                if (y, x) not in p.precedence and (x, y) not in p.precedence:
-                    if not v < u:
-                        return False
-        return True
-
-    def assign(x: int) -> bool:
+    def extend(x: int, rest: list[int]) -> bool:
+        """Map ``x`` onward, given the candidates left for ``x..n-1``."""
         if x == n:
             return True
-        for u in pools[_interface_key(p, x)]:
-            if not used[u] and consistent(x, u):
-                used[u] = True
+        after, before = p_succ[x], p_pred[x]
+        relation = [
+            1 if after >> z & 1 else 2 if before >> z & 1 else 0
+            for z in range(x + 1, n)
+        ]
+        candidates = rest[0]
+        while candidates:
+            bit = candidates & -candidates
+            candidates ^= bit
+            u = bit.bit_length() - 1
+            # What a later z may map to, by its relation to x: concurrent
+            # (0) with u and above it, no q-predecessor of u when x precedes
+            # z (1), no q-successor of u when z precedes x (2); never u.
+            allowed = (
+                -(bit << 1) & ~(q_pred[u] | q_succ[u]),
+                ~(q_pred[u] | bit),
+                ~(q_succ[u] | bit),
+            )
+            later = [d & allowed[r] for d, r in zip(rest[1:], relation)]
+            if all(later) and extend(x + 1, later):
                 image[x] = u
-                if assign(x + 1):
-                    return True
-                used[u] = False
-                image[x] = -1
+                return True
         return False
 
-    return tuple(image) if assign(0) else None
+    return tuple(image) if extend(0, domains) else None
 
 
 # --- interval recognition --------------------------------------------------------
@@ -504,33 +577,53 @@ def interval_representation(p: Ipomset) -> IntervalRepresentation | TwoPlusTwoWi
     incomparability form a ``2+2`` and are returned instead.
     """
     n = p.size
-    preds = [p.predecessors(x) for x in range(n)]
-    distinct = sorted(set(preds), key=len)
-    for first, second in combinations(distinct, 2):
-        if first <= second:
-            continue
-        low_a = next(iter(first - second))
-        low_b = next(iter(second - first))
-        high_a = next(x for x in range(n) if preds[x] == first)
-        high_b = next(x for x in range(n) if preds[x] == second)
-        return TwoPlusTwoWitness(
-            first_low=low_a,
-            first_high=high_a,
-            second_low=low_b,
-            second_high=high_b,
-        )
-    level = {s: i for i, s in enumerate(distinct)}
-    begin = tuple(level[preds[x]] for x in range(n))
+    pred = _masks(p)[0]
+    distinct = _predecessor_chain(pred)
+    if distinct is None:
+        return _two_plus_two(p)
+    level = {mask: i for i, mask in enumerate(distinct)}
+    begin = tuple(level[mask] for mask in pred)
     end = tuple(
-        max((i for i, s in enumerate(distinct) if x not in s), default=0)
+        max((i for i, mask in enumerate(distinct) if not mask >> x & 1), default=0)
         for x in range(n)
     )
     return IntervalRepresentation(begin=begin, end=end)
 
 
+def _predecessor_chain(pred: Sequence[int]) -> list[int] | None:
+    """The distinct masks of ``pred`` by size, or ``None`` if not a chain."""
+    distinct = sorted(set(pred), key=int.bit_count)
+    for smaller, larger in zip(distinct, distinct[1:]):
+        if smaller & ~larger:
+            return None
+    return distinct
+
+
+def _two_plus_two(p: Ipomset) -> TwoPlusTwoWitness:
+    """The ``2+2`` formed by the first incomparable predecessor sets of ``p``.
+
+    ``p`` must not be interval.  The sets are frozensets built from the
+    precedence pairs, because their iteration order decides which events
+    are named.
+    """
+    n = p.size
+    preds = [frozenset(a for a, b in p.precedence if b == x) for x in range(n)]
+    first, second = next(
+        (first, second)
+        for first, second in combinations(sorted(set(preds), key=len), 2)
+        if not first <= second
+    )
+    return TwoPlusTwoWitness(
+        first_low=next(iter(first - second)),
+        first_high=preds.index(first),
+        second_low=next(iter(second - first)),
+        second_high=preds.index(second),
+    )
+
+
 def is_interval(p: Ipomset) -> bool:
     """True when ``p``'s precedence admits an interval representation."""
-    return isinstance(interval_representation(p), IntervalRepresentation)
+    return _predecessor_chain(_masks(p)[0]) is not None
 
 
 # --- composition -------------------------------------------------------------------
@@ -598,10 +691,8 @@ def parallel(p: Ipomset, q: Ipomset) -> Ipomset:
     """
     shift = p.size
     return _unchecked(
-        Ipomset,
-        labels=p.labels + q.labels,
-        precedence=p.precedence
-        | frozenset((a + shift, b + shift) for a, b in q.precedence),
-        sources=p.sources | frozenset(s + shift for s in q.sources),
-        targets=p.targets | frozenset(t + shift for t in q.targets),
+        p.labels + q.labels,
+        p.precedence | frozenset((a + shift, b + shift) for a, b in q.precedence),
+        p.sources | frozenset(s + shift for s in q.sources),
+        p.targets | frozenset(t + shift for t in q.targets),
     )

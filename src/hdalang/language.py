@@ -25,7 +25,6 @@ from hdalang.ipomset import (
     Ipomset,
     SequentialMismatch,
     _canonical,
-    _unchecked,
     glue,
     is_interval,
     parallel,
@@ -71,6 +70,20 @@ class Language:
         return not self.generators
 
 
+def _unchecked_language(
+    generators: frozenset[Ipomset], event_bound: int | None
+) -> Language:
+    """A :class:`Language` holding the given fields as they are.
+
+    Skips ``__post_init__``, so it is only for generators the library has
+    already made an antichain of interval ipomsets.
+    """
+    value = object.__new__(Language)
+    object.__setattr__(value, "generators", generators)
+    object.__setattr__(value, "event_bound", event_bound)
+    return value
+
+
 def normalize(ipomsets: Iterable[Ipomset], event_bound: int | None = None) -> Language:
     """Build a language from any finite set of canonical ipomsets.
 
@@ -106,7 +119,7 @@ def normalize(ipomsets: Iterable[Ipomset], event_bound: int | None = None) -> La
             len(g.precedence) < pairs and subsumes(p, g) is not None for g in keep
         ):
             keep.append(p)
-    return _unchecked(Language, generators=frozenset(keep), event_bound=event_bound)
+    return _unchecked_language(frozenset(keep), event_bound)
 
 
 def contains(lang: Language, p: Ipomset) -> bool:
@@ -201,10 +214,8 @@ def restrict(lang: Language, max_events: int) -> Language:
     Subsumption preserves event counts, so small members of the ideal are
     generated by small generators and the restriction is exact.
     """
-    return _unchecked(
-        Language,
-        generators=frozenset(g for g in lang.generators if g.size <= max_events),
-        event_bound=max_events,
+    return _unchecked_language(
+        frozenset(g for g in lang.generators if g.size <= max_events), max_events
     )
 
 

@@ -1,11 +1,11 @@
 """Independent oracles and generators for the test suite.
 
 Everything here recomputes expected values by a route different from the
-implementation under test: subsumption by brute force over all event
-bijections, interval recognition by searching for a forbidden suborder,
-sequential composition by naive relation-building over tagged event
-names, and exhaustive enumeration of every canonical ipomset up to a
-size.  Random structures are always drawn from a caller-provided seeded
+implementation under test: subsumption and its least witness by brute
+force over all event bijections, interval recognition by searching for a
+forbidden suborder, sequential composition by naive relation-building
+over tagged event names, and exhaustive enumeration of every canonical
+ipomset up to a size.  Random structures are always drawn from a caller-provided seeded
 generator so failures replay.
 """
 
@@ -113,6 +113,49 @@ def oracle_subsumes(p: Ipomset, q: Ipomset) -> bool:
         if good:
             return True
     return False
+
+
+def is_witness(p: Ipomset, q: Ipomset, f: tuple[int, ...]) -> bool:
+    """Whether ``f`` (``f[x]`` the image of ``x``) shows that ``p`` refines ``q``.
+
+    Checks the definition directly, as :func:`oracle_subsumes` does: ``f``
+    is a bijection that keeps labels and both interfaces, reflects
+    precedence, and keeps the index order of pairs concurrent on both sides.
+    """
+    n = p.size
+    if n != q.size or sorted(f) != list(range(n)):
+        return False
+    if any(p.labels[x] != q.labels[f[x]] for x in range(n)):
+        return False
+    if {f[s] for s in p.sources} != set(q.sources):
+        return False
+    if {f[t] for t in p.targets} != set(q.targets):
+        return False
+    for x in range(n):
+        for y in range(n):
+            if x == y:
+                continue
+            u, v = f[x], f[y]
+            if (u, v) in q.precedence and (x, y) not in p.precedence:
+                return False
+            p_conc = (x, y) not in p.precedence and (y, x) not in p.precedence
+            q_conc = (u, v) not in q.precedence and (v, u) not in q.precedence
+            if p_conc and q_conc and x < y and not u < v:
+                return False
+    return True
+
+
+def oracle_witness(p: Ipomset, q: Ipomset) -> tuple[int, ...] | None:
+    """The least witness that ``p`` refines ``q``, or ``None`` if there is none.
+
+    It is the first witness in ``itertools.permutations`` order, which is
+    lexicographic.
+    """
+    if p.size != q.size:
+        return None
+    return next(
+        (f for f in permutations(range(p.size)) if is_witness(p, q, f)), None
+    )
 
 
 def oracle_is_interval(p: Ipomset) -> bool:

@@ -1,0 +1,129 @@
+"""Property tests over generated canonical ipomsets of up to five events.
+
+Refinement is a partial order whose witnesses are valid, ``glue`` is
+associative wherever both bracketings are defined and has identities on
+both sides, and the JSON document of an ipomset reads back as the same
+value.  The settings come from the profile loaded in ``conftest.py``.
+"""
+
+from __future__ import annotations
+
+from itertools import combinations
+
+from hypothesis import given
+from hypothesis import strategies as st
+
+from hdalang import InternalOrderCycle, Ipomset, glue, identity, subsumes
+from hdalang.formats import ipomset_from_doc, ipomset_to_doc
+from oracles import is_witness, naive_closure
+
+MAX_EVENTS = 5
+
+
+@st.composite
+def ipomsets(
+    draw: st.DrawFn,
+    size: int | None = None,
+    alphabet: str = "ab",
+    source_labels: tuple[str, ...] | None = None,
+) -> Ipomset:
+    """A canonical ipomset built with ``Ipomset(...)``.
+
+    Precedence is the closure of a drawn set of index-increasing pairs.
+    With ``source_labels``, the sources are that many drawn events, kept
+    minimal by drawing no pair into them, and carry those labels in order.
+    """
+    k = len(source_labels) if source_labels is not None else 0
+    n = size if size is not None else draw(st.integers(k, MAX_EVENTS))
+    labels = [draw(st.sampled_from(alphabet)) for _ in range(n)]
+    sources: list[int] = []
+    if source_labels is not None:
+        sources = sorted(draw(st.permutations(range(n)))[:k])
+        for event, label in zip(sources, source_labels):
+            labels[event] = label
+    allowed = [(i, j) for i, j in combinations(range(n), 2) if j not in sources]
+    chosen = draw(st.lists(st.sampled_from(allowed), unique=True)) if allowed else []
+    precedence = naive_closure(frozenset(chosen))
+    minimal = [e for e in range(n) if not any(b == e for _, b in precedence)]
+    maximal = [e for e in range(n) if not any(a == e for a, _ in precedence)]
+    if source_labels is None:
+        sources = [e for e in minimal if draw(st.booleans())]
+    targets = [e for e in maximal if draw(st.booleans())]
+    return Ipomset(tuple(labels), precedence, frozenset(sources), frozenset(targets))
+
+
+@st.composite
+def same_size_triples(draw: st.DrawFn) -> tuple[Ipomset, Ipomset, Ipomset]:
+    """Three ipomsets of one size and one letter, so refinement is common."""
+    n = draw(st.integers(0, 4))
+    return tuple(draw(ipomsets(size=n, alphabet="a")) for _ in range(3))
+
+
+@st.composite
+def glue_chains(draw: st.DrawFn) -> tuple[Ipomset, Ipomset, Ipomset]:
+    """``a``, ``b``, ``c`` where each one's sources match the last one's targets."""
+    a = draw(ipomsets())
+    b = draw(ipomsets(source_labels=_target_labels(a)))
+    c = draw(ipomsets(source_labels=_target_labels(b)))
+    return a, b, c
+
+
+def _target_labels(p: Ipomset) -> tuple[str, ...]:
+    return tuple(p.labels[t] for t in sorted(p.targets))
+
+
+def _glue_or_none(p: Ipomset | None, q: Ipomset | None) -> Ipomset | None:
+    if p is None or q is None:
+        return None
+    try:
+        return glue(p, q)
+    except InternalOrderCycle:
+        return None
+
+
+class TestRefinementOrder:
+    @given(ipomsets())
+    def test_reflexive(self, p):
+        assert subsumes(p, p) == tuple(range(p.size))
+
+    @given(same_size_triples())
+    def test_witnesses_are_valid(self, triple):
+        for p in triple:
+            for q in triple:
+                witness = subsumes(p, q)
+                assert witness is None or is_witness(p, q, witness)
+
+    @given(same_size_triples())
+    def test_antisymmetric(self, triple):
+        p, q, _ = triple
+        if subsumes(p, q) is not None and subsumes(q, p) is not None:
+            assert p == q
+
+    @given(same_size_triples())
+    def test_transitive(self, triple):
+        p, q, r = triple
+        if subsumes(p, q) is not None and subsumes(q, r) is not None:
+            assert subsumes(p, r) is not None
+
+
+class TestGlueLaws:
+    @given(glue_chains())
+    def test_associative_where_both_sides_are_defined(self, chain):
+        a, b, c = chain
+        left = _glue_or_none(_glue_or_none(a, b), c)
+        right = _glue_or_none(a, _glue_or_none(b, c))
+        if left is not None and right is not None:
+            assert left == right
+
+    @given(ipomsets())
+    def test_identities_are_units_on_both_sides(self, p):
+        before = identity([p.labels[s] for s in sorted(p.sources)])
+        after = identity(_target_labels(p))
+        assert glue(before, p) == p
+        assert glue(p, after) == p
+
+
+class TestDocuments:
+    @given(ipomsets())
+    def test_round_trip(self, p):
+        assert ipomset_from_doc(ipomset_to_doc(p)) == p
