@@ -299,8 +299,23 @@ def _canonical(
         rank[b] += 1
     if sorted(rank) != list(range(n)):
         return None
+    return _numbered(labels, prec, rank, sources, targets)
+
+
+def _numbered(
+    labels: Sequence[str],
+    prec: Iterable[Pair],
+    rank: Sequence[int],
+    sources: Iterable[int],
+    targets: Iterable[int],
+) -> Ipomset:
+    """The ipomset with event ``x`` renumbered ``rank[x]``.
+
+    ``rank`` must be a permutation of ``0..n-1`` that makes every pair of
+    ``prec`` increasing, and the interfaces must be extremal in ``prec``.
+    """
     return _unchecked(
-        tuple(labels[x] for x in sorted(range(n), key=rank.__getitem__)),
+        tuple(labels[x] for x in sorted(range(len(labels)), key=rank.__getitem__)),
         frozenset((rank[a], rank[b]) for a, b in prec),
         frozenset(rank[s] for s in sources),
         frozenset(rank[t] for t in targets),
@@ -578,9 +593,9 @@ def interval_representation(p: Ipomset) -> IntervalRepresentation | TwoPlusTwoWi
     """
     n = p.size
     pred = _masks(p)[0]
-    distinct = _predecessor_chain(pred)
-    if distinct is None:
-        return _two_plus_two(p)
+    distinct, broken = _predecessor_chain(pred)
+    if broken is not None:
+        return _two_plus_two(pred, *broken)
     level = {mask: i for i, mask in enumerate(distinct)}
     begin = tuple(level[mask] for mask in pred)
     end = tuple(
@@ -590,40 +605,41 @@ def interval_representation(p: Ipomset) -> IntervalRepresentation | TwoPlusTwoWi
     return IntervalRepresentation(begin=begin, end=end)
 
 
-def _predecessor_chain(pred: Sequence[int]) -> list[int] | None:
-    """The distinct masks of ``pred`` by size, or ``None`` if not a chain."""
+def _predecessor_chain(
+    pred: Sequence[int],
+) -> tuple[list[int], tuple[int, int] | None]:
+    """The distinct masks of ``pred`` by size, and where they stop nesting.
+
+    The second value is the first pair of neighbours in that order whose
+    smaller mask is not inside the larger one, or ``None`` when the masks
+    form a chain.
+    """
     distinct = sorted(set(pred), key=int.bit_count)
     for smaller, larger in zip(distinct, distinct[1:]):
         if smaller & ~larger:
-            return None
-    return distinct
+            return distinct, (smaller, larger)
+    return distinct, None
 
 
-def _two_plus_two(p: Ipomset) -> TwoPlusTwoWitness:
-    """The ``2+2`` formed by the first incomparable predecessor sets of ``p``.
+def _two_plus_two(pred: Sequence[int], first: int, second: int) -> TwoPlusTwoWitness:
+    """The ``2+2`` shown by two incomparable predecessor masks.
 
-    ``p`` must not be interval.  The sets are frozensets built from the
-    precedence pairs, because their iteration order decides which events
-    are named.
+    Each low event is the least event of its mask missing from the other
+    mask, and each high event is the least event with that mask, so the
+    witness depends only on the ipomset's value.
     """
-    n = p.size
-    preds = [frozenset(a for a, b in p.precedence if b == x) for x in range(n)]
-    first, second = next(
-        (first, second)
-        for first, second in combinations(sorted(set(preds), key=len), 2)
-        if not first <= second
-    )
+    first_only, second_only = first & ~second, second & ~first
     return TwoPlusTwoWitness(
-        first_low=next(iter(first - second)),
-        first_high=preds.index(first),
-        second_low=next(iter(second - first)),
-        second_high=preds.index(second),
+        first_low=(first_only & -first_only).bit_length() - 1,
+        first_high=pred.index(first),
+        second_low=(second_only & -second_only).bit_length() - 1,
+        second_high=pred.index(second),
     )
 
 
 def is_interval(p: Ipomset) -> bool:
     """True when ``p``'s precedence admits an interval representation."""
-    return _predecessor_chain(_masks(p)[0]) is not None
+    return _predecessor_chain(_masks(p)[0])[1] is None
 
 
 # --- composition -------------------------------------------------------------------

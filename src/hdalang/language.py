@@ -11,11 +11,19 @@ here preserves the generator representation exactly; no approximation is
 involved.  :func:`expand` materialises the ideal up to an event budget,
 which is the bridge between this symbolic representation and the
 path-by-path semantics of automata.
+
+Ideals are materialised by growing interval refinement orders of a
+generator event by event, on predecessor and successor bitmasks, and
+cutting a branch as soon as it stops being interval or stops fitting the
+inherited event order (:func:`_interval_refinements`).  Orders that are
+not interval are never built, and :func:`normalize` keeps only the
+members that come from inclusion-minimal orders.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable
 
@@ -24,12 +32,12 @@ from hdalang.ipomset import (
     InternalOrderCycle,
     Ipomset,
     SequentialMismatch,
-    _canonical,
+    _masks,
+    _numbered,
     glue,
     is_interval,
     parallel,
     subsumes,
-    transitive_closure,
 )
 
 
@@ -102,16 +110,19 @@ def normalize(ipomsets: Iterable[Ipomset], event_bound: int | None = None) -> La
     generators kept so far: ``pool * generators`` calls of :func:`subsumes`
     at most, in an order that does not depend on hashing.
 
-    Replacing a non-interval ipomset enumerates its order extensions,
-    which is exponential in its concurrency; callers composing large
-    generators should bound the result first where possible.
+    A non-interval ipomset is replaced only by the members of its ideal
+    that come from inclusion-minimal refinement orders (see
+    :func:`_maximal_candidates`); every maximal interval element is among
+    them, and the pass above drops the rest.  Growing those orders is
+    still exponential in the ipomset's concurrency; callers composing
+    large generators should bound the result first where possible.
     """
     flat: set[Ipomset] = set()
     for p in set(ipomsets):
         if is_interval(p):
             flat.add(p)
         else:
-            flat |= extensions(p)
+            flat |= _maximal_candidates(p)
     keep: list[Ipomset] = []
     for p in sorted(flat, key=lambda member: len(member.precedence)):
         pairs = len(p.precedence)
@@ -235,57 +246,192 @@ def is_equal(first: Language, second: Language) -> bool:
 # --- expansion ----------------------------------------------------------------
 
 
-def _order_extensions(base: frozenset[tuple[int, int]], n: int) -> set[frozenset[tuple[int, int]]]:
-    """All transitively closed strict orders on ``0..n-1`` containing ``base``.
+@lru_cache(maxsize=1 << 12)
+def _members(mask: int) -> tuple[int, ...]:
+    """The events whose bits are set in ``mask``, in ascending order.
 
-    Explored by repeatedly orienting one currently-unordered pair and
-    re-closing; adding a single pair between incomparable elements keeps
-    the closure irreflexive, so every extension is reached and no cycles
-    appear.
+    Cached: the growth below walks the same few masks in every branch.
     """
-    seen = {base}
-    frontier = [base]
-    while frontier:
-        current = frontier.pop()
-        for i, j in combinations(range(n), 2):
-            if (i, j) in current or (j, i) in current:
-                continue
-            for pair in ((i, j), (j, i)):
-                bigger = transitive_closure(current | {pair})
-                if bigger not in seen:
-                    seen.add(bigger)
-                    frontier.append(bigger)
-    return seen
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+_Order = tuple[tuple[int, ...], tuple[int, ...]]
+
+
+def _interval_refinements(q: Ipomset) -> list[_Order]:
+    """Refinement orders of ``q`` that reach its ideal, as bitmasks.
+
+    A refinement order is a strict order ``R`` on ``q``'s events that
+    contains ``q``'s precedence, keeps the sources minimal and the targets
+    maximal, is interval, and whose union with the index order inherited
+    by the pairs ``R`` leaves concurrent is acyclic.  :func:`_refinement`
+    numbers each into a member of ``q``'s ideal, and every member comes
+    from one of the orders returned, given by each event's predecessor
+    and successor masks.
+
+    ``R`` grows one event at a time, in index order.  Event ``k`` gets
+    predecessors ``D`` and successors ``U`` among the events before it.
+    ``D`` is down-closed, holds ``q``'s predecessors of ``k`` and no
+    target, and is empty when ``k`` is a source.  ``U`` is up-closed, lies
+    wholly above ``D``, holds no source, and is empty when ``k`` is a
+    target.  So ``R`` stays a strict order with extremal interfaces.  Two
+    more conditions are hereditary, and a branch ends at the first event
+    that breaks one:
+
+    * The predecessor masks form a chain, so ``R`` is interval.  The new
+      masks are ``D`` and those of ``U`` with ``k`` added; they stay a
+      chain when ``D`` is comparable with every mask so far and ``U``
+      takes along each event whose predecessors strictly include those
+      of one of its members.
+    * ``R`` with the inherited index order is acyclic.  That union relates
+      every pair exactly once, so it is acyclic when it has no 3-cycle.
+      A new one would run from ``k`` to some ``u`` in ``U``, on to a
+      later event concurrent with ``u`` and outside ``U``, and back to
+      ``k``.  So ``U`` takes along every later event concurrent with one
+      of its members.
+
+    Twins are consecutive events with the same label, interface role,
+    predecessors and successors in ``q``.  Permuting a run of twins maps
+    refinement orders to refinement orders with the same member: no event
+    lies between two twins, so every pair with an event outside the run
+    keeps its index order.  Numbering a run along a linear extension of
+    ``R`` shows that the orders in which no twin precedes an earlier twin
+    of its run still reach every member, so ``U`` holds no earlier twin
+    of ``k``.
+    """
+    n = q.size
+    q_pred, q_succ, keys, _ = _masks(q)
+    twins = [0] * n
+    for k in range(1, n):
+        same = keys[k] == keys[k - 1] and q_pred[k] == q_pred[k - 1]
+        if same and q_succ[k] == q_succ[k - 1]:
+            twins[k] = twins[k - 1] | 1 << k - 1
+    sources = sum(1 << s for s in q.sources)
+    targets = sum(1 << t for t in q.targets)
+    pred = [0] * n
+    succ = [0] * n
+    out: list[_Order] = []
+
+    def grow(k: int) -> None:
+        if k == n:
+            out.append((tuple(pred), tuple(succ)))
+            return
+        bit = 1 << k
+        earlier = bit - 1
+        # ``along[x]``: the events ``U`` must hold when it holds ``x``.  The
+        # masks form a chain, so a strictly larger one strictly includes.
+        sizes = [mask.bit_count() for mask in pred[:k]]
+        along = [
+            succ[x]
+            | earlier & ~(pred[x] | succ[x]) & -(2 << x)
+            | sum(1 << y for y in range(k) if sizes[y] > sizes[x])
+            for x in range(k)
+        ]
+        # ``D`` is ``base`` and a down-closed part of ``free``.
+        base = q_pred[k]
+        for d in _members(base):
+            base |= pred[d]
+        free = 0 if bit & sources else earlier & ~targets & ~base
+        extra = free
+        while True:
+            down = base | extra
+            if all(not pred[d] & ~down for d in _members(extra)) and all(
+                mask & down in (mask, down) for mask in pred[:k]
+            ):
+                # ``U`` is a part of ``room`` that holds what it takes along.
+                room = 0
+                if not bit & targets:
+                    room = sum(
+                        1 << x
+                        for x in range(k)
+                        if pred[x] & down == down and not sources >> x & 1
+                    ) & ~twins[k]
+                ups = room
+                while True:
+                    if all(not along[u] & ~ups for u in _members(ups)):
+                        for u in _members(ups):
+                            pred[u] |= bit
+                        for d in _members(down):
+                            succ[d] |= bit
+                        pred[k], succ[k] = down, ups
+                        grow(k + 1)
+                        for u in _members(ups):
+                            pred[u] ^= bit
+                        for d in _members(down):
+                            succ[d] ^= bit
+                    if not ups:
+                        break
+                    ups = (ups - 1) & room
+            if not extra:
+                break
+            extra = (extra - 1) & free
+        pred[k] = succ[k] = 0
+
+    grow(0)
+    return out
+
+
+def _refinement(q: Ipomset, order: _Order) -> Ipomset:
+    """The member of ``q``'s ideal that one refinement order numbers into.
+
+    Each event is numbered by how many events come before it in the order
+    united with the inherited index order: its predecessors, and the
+    events concurrent with it that have a lower index.
+    """
+    pred, succ = order
+    rank = [
+        pred[x].bit_count() + ((1 << x) - 1 & ~(pred[x] | succ[x])).bit_count()
+        for x in range(q.size)
+    ]
+    pairs = [(a, b) for b, mask in enumerate(pred) for a in _members(mask)]
+    return _numbered(q.labels, pairs, rank, q.sources, q.targets)
+
+
+def _maximal_candidates(q: Ipomset) -> set[Ipomset]:
+    """The members of ``q``'s ideal from inclusion-minimal refinement orders.
+
+    If one refinement order ``R'`` is strictly included in another ``R``,
+    the identity on ``q``'s events shows that ``R``'s member strictly
+    refines ``R'``'s.  So a maximal member of the ideal comes from an
+    order minimal among all refinement orders, and permuting twins keeps
+    it minimal, so it is also minimal among those
+    :func:`_interval_refinements` returns.  The orders are tested in order
+    of size against the minimal ones kept so far, each encoded as one
+    mask of ``n * n`` bits.
+    """
+    n = q.size
+    encoded = []
+    for order in _interval_refinements(q):
+        relation = 0
+        for x, mask in enumerate(order[0]):
+            relation |= mask << x * n
+        encoded.append((relation, order))
+    encoded.sort(key=lambda item: item[0].bit_count())
+    minimal: list[int] = []
+    out: set[Ipomset] = set()
+    for relation, order in encoded:
+        if all(smaller & ~relation for smaller in minimal):
+            minimal.append(relation)
+            out.add(_refinement(q, order))
+    return out
 
 
 def extensions(q: Ipomset) -> frozenset[Ipomset]:
     """Every canonical ipomset subsumed by ``q`` (including ``q`` itself).
 
-    Each strict-order extension of ``q``'s precedence is kept when the
-    interfaces stay extremal, the surviving event order can be linearised
-    with it, and the result is again interval.  The returned set is exactly
-    ``q``'s principal ideal: transporting structure along a subsumption
-    witness shows each refinement arises from exactly one such extension.
+    The members are grown directly as interval refinements of ``q``'s
+    precedence (see :func:`_interval_refinements`), one event at a time,
+    so no order that is not interval is ever built.  The returned set is
+    exactly ``q``'s principal ideal: transporting structure along a
+    subsumption witness shows that every refinement arises from such an
+    order, and several orders may give the same member.
     """
-    n = q.size
-    out: set[Ipomset] = set()
-    for prec in _order_extensions(q.precedence, n):
-        if any(b in q.sources for _, b in prec):
-            continue
-        if any(a in q.targets for a, _ in prec):
-            continue
-        # Pairs still concurrent under ``prec`` inherit ``q``'s event order
-        # (index order); if that union is cyclic the extension does not
-        # exist as a canonical ipomset.
-        inherited = [
-            (i, j)
-            for i, j in combinations(range(n), 2)
-            if (i, j) not in prec and (j, i) not in prec
-        ]
-        candidate = _canonical(q.labels, prec, inherited, q.sources, q.targets)
-        if candidate is not None and is_interval(candidate):
-            out.add(candidate)
-    return frozenset(out)
+    return frozenset(_refinement(q, order) for order in _interval_refinements(q))
 
 
 def expand(lang: Language, max_events: int) -> frozenset[Ipomset]:

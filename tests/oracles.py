@@ -3,15 +3,17 @@
 Everything here recomputes expected values by a route different from the
 implementation under test: subsumption and its least witness by brute
 force over all event bijections, interval recognition by searching for a
-forbidden suborder, sequential composition by naive relation-building
-over tagged event names, and exhaustive enumeration of every canonical
-ipomset up to a size.  Random structures are always drawn from a caller-provided seeded
+forbidden suborder, principal ideals by filtering every strict order,
+sequential composition by naive relation-building over tagged event
+names, and exhaustive enumeration of every canonical ipomset up to a
+size.  Random structures are always drawn from a caller-provided seeded
 generator so failures replay.
 """
 
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from itertools import combinations, permutations, product
 
 from hdalang.hda import Hda, Step, UpStep, enumerate_accepting_paths
@@ -175,6 +177,59 @@ def oracle_is_interval(p: Ipomset) -> bool:
             ):
                 return False
     return True
+
+
+@lru_cache(maxsize=None)
+def strict_orders(n: int) -> tuple[frozenset[Pair], ...]:
+    """Every strict order on 0..n-1.
+
+    Each one has a linear extension, so it is a natural order with its
+    events renamed by some permutation.
+    """
+    return tuple(
+        {
+            frozenset((perm[a], perm[b]) for a, b in order)
+            for order in natural_orders(n)
+            for perm in permutations(range(n))
+        }
+    )
+
+
+def oracle_extensions(q: Ipomset) -> set[Ipomset]:
+    """``q``'s principal ideal, from every strict order containing its precedence.
+
+    An order is kept when the sources stay minimal and the targets
+    maximal, its union with the index order of the pairs it leaves
+    concurrent is acyclic under :func:`naive_closure`, and the result is
+    interval by :func:`oracle_is_interval`.  Each event is numbered by the
+    events before it in that union, and the result is built with
+    ``Ipomset(...)``, which checks it.
+    """
+    n = q.size
+    out = set()
+    for order in strict_orders(n):
+        if not q.precedence <= order:
+            continue
+        if any(b in q.sources or a in q.targets for a, b in order):
+            continue
+        union = order | {
+            (i, j)
+            for i, j in combinations(range(n), 2)
+            if (j, i) not in order
+        }
+        closed = naive_closure(frozenset(union))
+        if any(a == b for a, b in closed):
+            continue
+        rank = {e: sum(1 for _, b in closed if b == e) for e in range(n)}
+        member = Ipomset(
+            labels=tuple(q.labels[e] for e in sorted(range(n), key=rank.__getitem__)),
+            precedence=frozenset((rank[a], rank[b]) for a, b in order),
+            sources=frozenset(rank[s] for s in q.sources),
+            targets=frozenset(rank[t] for t in q.targets),
+        )
+        if oracle_is_interval(member):
+            out.add(member)
+    return out
 
 
 def oracle_down_set(q: Ipomset, same_size_universe: list[Ipomset]) -> set[Ipomset]:

@@ -31,6 +31,7 @@ from hdalang import (
     SequentialMismatch,
     SourceNotMinimal,
     TargetNotMaximal,
+    TwoPlusTwoWitness,
     from_chain,
     from_concurrent,
     glue,
@@ -325,6 +326,38 @@ class TestInterval:
         for x, y in cross:
             assert (x, y) not in bad.precedence
             assert (y, x) not in bad.precedence
+
+    def test_witness_names_the_least_events(self):
+        for p in universe(4):
+            if is_interval(p):
+                continue
+            rep = interval_representation(p)
+            first = p.predecessors(rep.first_high)
+            second = p.predecessors(rep.second_high)
+            assert rep.first_low == min(first - second)
+            assert rep.second_low == min(second - first)
+            assert rep.first_high == min(
+                x for x in range(4) if p.predecessors(x) == first
+            )
+            assert rep.second_high == min(
+                x for x in range(4) if p.predecessors(x) == second
+            )
+
+    def test_witness_depends_only_on_the_value(self):
+        # Predecessor sets built as frozensets could be iterated in the
+        # insertion order of colliding events numbered 8 and up, so one
+        # value could name two witnesses.
+        pairs = [(1, 4), (1, 8), (1, 9), (1, 10), (1, 12), (2, 12), (3, 4)]
+        pairs += [(3, 8), (3, 9), (4, 8), (4, 9), (6, 9), (10, 12)]
+        rnd = random.Random(408)
+        witnesses = set()
+        for _ in range(200):
+            rnd.shuffle(pairs)
+            p = Ipomset(("a",) * 13, frozenset(pairs), frozenset(), frozenset())
+            witnesses.add(interval_representation(p))
+        assert witnesses == {
+            TwoPlusTwoWitness(first_low=3, first_high=4, second_low=2, second_high=12)
+        }
 
     def test_levels_reproduce_precedence(self):
         rnd = random.Random(405)

@@ -12,8 +12,11 @@ Core claims exercised here:
   ``par_closure_bounded`` folds bounded parallel powers,
   ``union``/``restrict`` behave set-like.
 * ``extensions`` enumerates exactly the down-closure of one generator
-  (cross-checked against a brute-force scan of the whole universe) and
-  ``expand`` unions those ideals.
+  (cross-checked against a brute-force scan of the whole universe and
+  against an oracle that filters every strict order) and ``expand``
+  unions those ideals.
+* ``normalize`` replaces a non-interval member by exactly the maxima of
+  its ideal.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ from hdalang.ipomset import Ipomset
 from hdalang.samples import edge_automaton
 from oracles import (
     oracle_down_set,
+    oracle_extensions,
     oracle_is_interval,
     oracle_subsumes,
     random_ipomset,
@@ -152,6 +156,29 @@ class TestNormalize:
             }
             assert normalize(pool, event_bound=4) == Language(frozenset(maxima), 4)
         assert non_interval > 5
+
+    def test_non_interval_members_give_the_maxima_of_their_ideal(self):
+        rnd = random.Random(5153)
+        inputs = [q for q in universe(4) if not oracle_is_interval(q)]
+        for _ in range(12):
+            k = rnd.randint(2, 3)
+            first, second = (
+                from_chain(
+                    [rnd.choice("ab") for _ in range(size)],
+                    sources={0} if rnd.random() < 0.3 else (),
+                    targets={size - 1} if rnd.random() < 0.3 else (),
+                )
+                for size in (k, 5 - k)
+            )
+            inputs.append(parallel(first, second))
+        for q in inputs:
+            ideal = extensions(q)
+            maxima = {
+                p
+                for p in ideal
+                if not any(r != p and oracle_subsumes(p, r) for r in ideal)
+            }
+            assert normalize([q]).generators == maxima, q
 
     def test_input_order_does_not_matter(self):
         rnd = random.Random(5151)
@@ -361,6 +388,33 @@ class TestExtensions:
             got = extensions(q)
             want = oracle_down_set(q, by_size[q.size])
             assert got == want, q
+
+    def test_matches_the_order_oracle_up_to_three_events(self):
+        for q in universe_up_to(3):
+            assert extensions(q) == oracle_extensions(q), q
+
+    def test_matches_the_order_oracle_on_four_events(self):
+        rnd = random.Random(505)
+        for q in rnd.sample(universe(4), 150):
+            assert extensions(q) == oracle_extensions(q), q
+
+    def test_matches_the_order_oracle_on_five_events_with_interfaces(self):
+        # Runs of equal concurrent events with interfaces, then random ones.
+        inputs = [
+            from_concurrent("aaaab", sources={0, 1}),
+            from_concurrent("abaaa", sources={2}, targets={3, 4}),
+        ]
+        rnd = random.Random(506)
+        while len(inputs) < 10:
+            q = random_ipomset(rnd, 5)
+            if q.size == 5 and (q.sources or q.targets):
+                inputs.append(q)
+        for q in inputs:
+            assert extensions(q) == oracle_extensions(q), q
+
+    def test_member_counts_of_concurrent_events(self):
+        assert len(extensions(from_concurrent("a" * 5))) == 272
+        assert len(extensions(from_concurrent("a" * 6))) == 2637
 
     def test_random_members_subsume_their_generator(self):
         rnd = random.Random(501)

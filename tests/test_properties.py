@@ -2,7 +2,8 @@
 
 Refinement is a partial order whose witnesses are valid, ``glue`` is
 associative wherever both bracketings are defined and has identities on
-both sides, and the JSON document of an ipomset reads back as the same
+both sides, both compositions of languages distribute over ``union`` on
+either side, and the JSON document of an ipomset reads back as the same
 value.  The settings come from the profile loaded in ``conftest.py``.
 """
 
@@ -13,7 +14,19 @@ from itertools import combinations
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hdalang import InternalOrderCycle, Ipomset, glue, identity, subsumes
+from hdalang import (
+    InternalOrderCycle,
+    Ipomset,
+    Language,
+    glue,
+    identity,
+    is_equal,
+    normalize,
+    par_compose,
+    seq_compose,
+    subsumes,
+    union,
+)
 from hdalang.formats import ipomset_from_doc, ipomset_to_doc
 from oracles import is_witness, naive_closure
 
@@ -66,6 +79,13 @@ def glue_chains(draw: st.DrawFn) -> tuple[Ipomset, Ipomset, Ipomset]:
     b = draw(ipomsets(source_labels=_target_labels(a)))
     c = draw(ipomsets(source_labels=_target_labels(b)))
     return a, b, c
+
+
+@st.composite
+def languages(draw: st.DrawFn) -> Language:
+    """A language of one to three generators of at most three events."""
+    small = st.integers(0, 3).flatmap(lambda n: ipomsets(size=n))
+    return normalize(draw(st.lists(small, min_size=1, max_size=3)))
 
 
 def _target_labels(p: Ipomset) -> tuple[str, ...]:
@@ -121,6 +141,28 @@ class TestGlueLaws:
         after = identity(_target_labels(p))
         assert glue(before, p) == p
         assert glue(p, after) == p
+
+
+class TestDistributivity:
+    @given(languages(), languages(), languages())
+    def test_par_compose_distributes_over_union_on_the_right(self, a, b, c):
+        left = par_compose(union(a, b), c)
+        assert is_equal(left, union(par_compose(a, c), par_compose(b, c)))
+
+    @given(languages(), languages(), languages())
+    def test_par_compose_distributes_over_union_on_the_left(self, a, b, c):
+        left = par_compose(c, union(a, b))
+        assert is_equal(left, union(par_compose(c, a), par_compose(c, b)))
+
+    @given(languages(), languages(), languages())
+    def test_seq_compose_distributes_over_union_on_the_right(self, a, b, c):
+        left = seq_compose(union(a, b), c)
+        assert is_equal(left, union(seq_compose(a, c), seq_compose(b, c)))
+
+    @given(languages(), languages(), languages())
+    def test_seq_compose_distributes_over_union_on_the_left(self, a, b, c):
+        left = seq_compose(c, union(a, b))
+        assert is_equal(left, union(seq_compose(c, a), seq_compose(c, b)))
 
 
 class TestDocuments:
