@@ -37,16 +37,15 @@ from hdalang.ipomset import InternalOrderCycle, Ipomset, _unchecked, identity
 from hdalang.language import Language, normalize
 from hdalang.precubical import (
     PrecubicalInvariant,
-    PrecubicalMap,
     PrecubicalSet,
     UnknownCell,
     Word,
-    coproduct,
     finite_colimit,
     tensor,
     tensor_cell_id,
     validate_precubical_map,
 )
+from hdalang.precubical import _unchecked as _unchecked_value
 
 
 # --- automata -------------------------------------------------------------------
@@ -390,7 +389,7 @@ def language(automaton: Hda, max_events: int) -> Language:
 
 def unit_hda() -> Hda:
     """The tensor unit: one vertex, both start and accept."""
-    carrier = PrecubicalSet({"v": ()}, {})
+    carrier = _unchecked_value(PrecubicalSet, cells={"v": ()}, faces={})
     return Hda(carrier, frozenset({"v"}), frozenset({"v"}))
 
 
@@ -407,15 +406,22 @@ def tensor_hda(x: Hda, y: Hda) -> Hda:
     )
 
 
+def _marked_colimit(
+    parts: Sequence[Hda], arrows: Sequence[tuple[int, int, Mapping[str, str]]]
+) -> Hda:
+    """The colimit of the parts' carriers, marked by the cocone images."""
+    colim, cocones = finite_colimit([p.carrier for p in parts], arrows)
+    marked = list(zip(parts, cocones))
+    return Hda(
+        colim,
+        frozenset(cocone(c) for part, cocone in marked for c in part.start),
+        frozenset(cocone(c) for part, cocone in marked for c in part.accept),
+    )
+
+
 def coproduct_hda(parts: Sequence[Hda]) -> Hda:
     """Disjoint union of automata; markings are inherited per summand."""
-    total, injections = coproduct([p.carrier for p in parts])
-    start: set[str] = set()
-    accept: set[str] = set()
-    for part, inj in zip(parts, injections):
-        start |= {inj(c) for c in part.start}
-        accept |= {inj(c) for c in part.accept}
-    return Hda(total, frozenset(start), frozenset(accept))
+    return _marked_colimit(parts, [])
 
 
 def pushout_hda(
@@ -439,16 +445,9 @@ def pushout_hda(
             raise PrecubicalInvariant(
                 [f"{name} leg: {p}" for p in problems]
             )
-    colim, cocones = finite_colimit(
-        [apex.carrier, left.carrier, right.carrier],
-        [(0, 1, dict(into_left)), (0, 2, dict(into_right))],
+    return _marked_colimit(
+        [apex, left, right], [(0, 1, dict(into_left)), (0, 2, dict(into_right))]
     )
-    start: set[str] = set()
-    accept: set[str] = set()
-    for component, cocone in zip((apex, left, right), cocones):
-        start |= {cocone(c) for c in component.start}
-        accept |= {cocone(c) for c in component.accept}
-    return Hda(colim, frozenset(start), frozenset(accept))
 
 
 def tensor_power(x: Hda, n: int) -> Hda:
@@ -506,10 +505,21 @@ def replication_chain_prefix(
             [(0, 1, into_stage), (0, 2, onto_base)],
         )
         bigger_far = tensor_cell_id(power_far, far)
-        accept = {cocones[1](c) for c in stages[-1].accept}
+        into_next = cocones[1].mapping
+        accept = {into_next[c] for c in stages[-1].accept}
         accept.add(cocones[2](bigger_far))
         stage = Hda(colim, frozenset(), frozenset(accept))
-        inclusions.append(HdaMap(stages[-1], stage, cocones[1].mapping))
+        # The cocone is a precubical map that keeps every accept cell; only
+        # the seed's start cells, which no later stage marks, can break it.
+        unmarked = [
+            f"start cell {c!r} maps to unmarked {into_next[c]!r}"
+            for c in sorted(stages[-1].start)
+        ]
+        if unmarked:
+            raise PrecubicalInvariant(unmarked)
+        inclusions.append(
+            _unchecked_value(HdaMap, source=stages[-1], target=stage, mapping=into_next)
+        )
         stages.append(stage)
         power, power_far = bigger, bigger_far
         into_stage = cocones[2].mapping

@@ -425,7 +425,7 @@ def from_chain(
     n = len(labels)
     return Ipomset(
         labels=tuple(labels),
-        precedence=transitive_closure((i, i + 1) for i in range(n - 1)),
+        precedence=frozenset((i, i + 1) for i in range(n - 1)),
         sources=frozenset(sources),
         targets=frozenset(targets),
     )
@@ -673,6 +673,13 @@ def glue(p: Ipomset, q: Ipomset) -> Ipomset:
     carry.update((b, p.size + k) for k, b in enumerate(fresh))
     labels = p.labels + tuple(q.labels[b] for b in fresh)
 
+    # The union of p's pairs P, q's carried pairs Q and the block B of
+    # (non-target of p, non-source of q) is already transitive.  A chain
+    # through an event of p starts in P: Q meets p only at the images of
+    # q's sources, which are minimal, and B ends only at fresh events.  A
+    # chain through a fresh event goes on in Q.  Targets of p are maximal
+    # and sources of q minimal, so P then P lies in P, P then Q or B lies
+    # in B, Q then Q lies in Q, and B then Q lies in B.
     raw = set(p.precedence)
     raw |= {(carry[a], carry[b]) for a, b in q.precedence}
     raw |= {
@@ -682,7 +689,7 @@ def glue(p: Ipomset, q: Ipomset) -> Ipomset:
         for b in range(q.size)
         if b not in q.sources
     }
-    prec = transitive_closure(raw)
+    prec = frozenset(raw)
 
     # The new precedence only joins a non-target of p to a non-source of q,
     # so a pair inside one operand keeps its relation and its event order.

@@ -16,19 +16,26 @@ like injections, and every iterated elementary face equals exactly one
 coface.
 
 The module also provides the tensor product (concatenating words,
-pairing cells), finite coproducts, and general finite colimits computed by
-quotienting a disjoint union; colimits are how automata are stitched
-together from smaller pieces.
+pairing cells) and finite colimits computed by quotienting a disjoint
+union, with coproducts as the colimits of diagrams without arrows;
+colimits are how automata are stitched together from smaller pieces.
+
+Checks happen where data enters the library: the public
+:class:`PrecubicalSet` and :class:`PrecubicalMap` constructors and the
+parsers run every check.  Results the library builds from checked values
+(tensors, colimits and their cocones) are valid by construction and skip
+them; only the arrows a caller hands to a colimit are checked again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence, TypeVar
 
 Word = tuple[str, ...]
 FaceKey = tuple[str, int, int]
+_T = TypeVar("_T")
 
 
 # --- errors -------------------------------------------------------------------
@@ -266,6 +273,9 @@ def validate_precubical(
 class PrecubicalSet:
     """An immutable, validated precubical set.
 
+    The constructor runs :func:`validate_precubical`; tensors and colimits
+    of checked sets are valid by construction and skip it.
+
     Attributes:
         cells: cell id to word (the word's length is the dimension).
         faces: ``(cell, nu, position)`` to the id of that elementary face.
@@ -418,6 +428,19 @@ def compose_maps(outer: PrecubicalMap, inner: PrecubicalMap) -> PrecubicalMap:
 # --- tensor, coproduct, colimit -----------------------------------------------
 
 
+def _unchecked(cls: type[_T], **fields: object) -> _T:
+    """An instance of ``cls`` holding ``fields`` as they are.
+
+    Skips ``__post_init__``, so it is only for values the library built
+    from checked ones: they must already have the field types and the
+    invariants the checked constructor would establish.
+    """
+    value = object.__new__(cls)
+    for name, field_value in fields.items():
+        object.__setattr__(value, name, field_value)
+    return value
+
+
 def tensor_cell_id(left: str, right: str) -> str:
     """The id used for the tensor of two cells."""
     return f"({left}|{right})"
@@ -428,6 +451,11 @@ def tensor(x: PrecubicalSet, y: PrecubicalSet) -> PrecubicalSet:
 
     The cell set is the cartesian product; a face at a position within the
     left block applies to the left cell, otherwise to the right cell.
+    Faces and interchange hold blockwise, so the product of two valid sets
+    is valid as long as no two pairs of cells get the same id.
+
+    Raises:
+        PrecubicalInvariant: two pairs of cells share a tensor id.
     """
     cells: dict[str, Word] = {}
     faces: dict[FaceKey, str] = {}
@@ -435,59 +463,20 @@ def tensor(x: PrecubicalSet, y: PrecubicalSet) -> PrecubicalSet:
         for yc, yw in y.cells.items():
             cid = tensor_cell_id(xc, yc)
             if cid in cells:
-                raise ValueError(f"tensor cell id collision at {cid!r}")
+                raise PrecubicalInvariant([f"tensor cell id collision at {cid!r}"])
             cells[cid] = tensor_word(xw, yw)
             dx = len(xw)
             for nu in (0, 1):
-                for pos in range(1, dx + len(yw) + 1):
-                    if pos <= dx:
-                        faces[(cid, nu, pos)] = tensor_cell_id(
-                            x.faces[(xc, nu, pos)], yc
-                        )
-                    else:
-                        faces[(cid, nu, pos)] = tensor_cell_id(
-                            xc, y.faces[(yc, nu, pos - dx)]
-                        )
-    return PrecubicalSet(cells, faces)
+                for pos in range(1, dx + 1):
+                    faces[(cid, nu, pos)] = tensor_cell_id(x.faces[(xc, nu, pos)], yc)
+                for pos in range(1, len(yw) + 1):
+                    faces[(cid, nu, dx + pos)] = tensor_cell_id(xc, y.faces[(yc, nu, pos)])
+    return _unchecked(PrecubicalSet, cells=cells, faces=faces)
 
 
 def coproduct(parts: Sequence[PrecubicalSet]) -> tuple[PrecubicalSet, list[PrecubicalMap]]:
-    """Disjoint union; returns the sum and the injection of each part."""
-    cells: dict[str, Word] = {}
-    faces: dict[FaceKey, str] = {}
-    injections: list[dict[str, str]] = []
-    for i, part in enumerate(parts):
-        tag = {c: f"{i}:{c}" for c in part.cells}
-        injections.append(tag)
-        for c, w in part.cells.items():
-            cells[tag[c]] = w
-        for (c, nu, pos), f in part.faces.items():
-            faces[(tag[c], nu, pos)] = tag[f]
-    total = PrecubicalSet(cells, faces)
-    return total, [
-        PrecubicalMap(part, total, inj) for part, inj in zip(parts, injections)
-    ]
-
-
-class _UnionFind:
-    """Union-find with deterministic least-representative extraction."""
-
-    def __init__(self) -> None:
-        self.parent: dict[object, object] = {}
-
-    def find(self, x: object) -> object:
-        self.parent.setdefault(x, x)
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x: object, y: object) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[rx] = ry
+    """Disjoint union and injections: the colimit of no arrows, naming cells ``"i:c"``."""
+    return finite_colimit(parts, [])
 
 
 def finite_colimit(
@@ -510,10 +499,18 @@ def finite_colimit(
         IllFormedDiagram: an arrow's endpoints are out of range or its
             mapping is not a valid morphism between them.
     """
-    uf = _UnionFind()
-    for i, obj in enumerate(objects):
-        for c in obj.cells:
-            uf.find((i, c))
+    # Union-find over tagged cells ``(index, cell)``; linking the larger root
+    # under the smaller keeps every root the least member of its class.
+    parent = {(i, c): (i, c) for i, obj in enumerate(objects) for c in obj.cells}
+
+    def find(member: tuple[int, str]) -> tuple[int, str]:
+        root = member
+        while parent[root] != root:
+            root = parent[root]
+        while parent[member] != root:
+            parent[member], member = root, parent[member]
+        return root
+
     for k, (si, ti, mapping) in enumerate(morphisms):
         if not (0 <= si < len(objects)) or not (0 <= ti < len(objects)):
             raise IllFormedDiagram(
@@ -525,44 +522,23 @@ def finite_colimit(
                 f"morphism {k} is not a precubical map: " + "; ".join(problems)
             )
         for c, img in mapping.items():
-            uf.union((si, c), (ti, img))
+            one, two = find((si, c)), find((ti, img))
+            if one != two:
+                parent[max(one, two)] = min(one, two)
 
-    # Name each class after its least tagged member, then check that all
-    # members of a class share one word.
-    least_member: dict[object, tuple[int, str]] = {}
-    for member in list(uf.parent):
-        root = uf.find(member)
-        if root not in least_member or member < least_member[root]:
-            least_member[root] = member  # type: ignore[assignment]
-
-    names: dict[tuple[int, str], str] = {}
-    words: dict[str, Word] = {}
-    for i, obj in enumerate(objects):
-        for c, w in obj.cells.items():
-            least = least_member[uf.find((i, c))]
-            name = f"{least[0]}:{least[1]}"
-            names[(i, c)] = name
-            if name in words and words[name] != w:
-                raise IllFormedDiagram(
-                    f"cells of different words were identified at {name!r}"
-                )
-            words[name] = w
-
-    faces: dict[FaceKey, str] = {}
-    for i, obj in enumerate(objects):
-        for (c, nu, pos), f in obj.faces.items():
-            key = (names[(i, c)], nu, pos)
-            val = names[(i, f)]
-            if key in faces and faces[key] != val:
-                raise IllFormedDiagram(
-                    f"face {key} is ambiguous in the quotient: "
-                    f"{faces[key]!r} vs {val!r}"
-                )
-            faces[key] = val
-
-    colim = PrecubicalSet(words, faces)
-    cocones = [
-        PrecubicalMap(obj, colim, {c: names[(i, c)] for c in obj.cells})
+    # Arrows keep words and commute with faces, so all members of a class
+    # share one word and their faces fall in one class: the quotient is a
+    # valid precubical set and each cocone a precubical map.
+    tags = [{c: "%d:%s" % find((i, c)) for c in obj.cells} for i, obj in enumerate(objects)]
+    words = {tags[i][c]: w for i, obj in enumerate(objects) for c, w in obj.cells.items()}
+    faces = {
+        (tags[i][c], nu, pos): tags[i][f]
         for i, obj in enumerate(objects)
+        for (c, nu, pos), f in obj.faces.items()
+    }
+    colim = _unchecked(PrecubicalSet, cells=words, faces=faces)
+    cocones = [
+        _unchecked(PrecubicalMap, source=obj, target=colim, mapping=tag)
+        for obj, tag in zip(objects, tags)
     ]
     return colim, cocones

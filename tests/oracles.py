@@ -5,9 +5,9 @@ implementation under test: subsumption and its least witness by brute
 force over all event bijections, interval recognition by searching for a
 forbidden suborder, principal ideals by filtering every strict order,
 sequential composition by naive relation-building over tagged event
-names, and exhaustive enumeration of every canonical ipomset up to a
-size.  Random structures are always drawn from a caller-provided seeded
-generator so failures replay.
+names, colimit classes by merging sets, and exhaustive enumeration of
+every canonical ipomset up to a size.  Random structures are always drawn
+from a caller-provided seeded generator so failures replay.
 """
 
 from __future__ import annotations
@@ -354,6 +354,35 @@ def step_piece(word: tuple[str, ...], step: Step) -> Ipomset:
     if isinstance(step, UpStep):
         return Ipomset(word, frozenset(), rest, every)
     return Ipomset(word, frozenset(), every, rest)
+
+
+def oracle_colimit_names(
+    objects: list[PrecubicalSet], arrows: list[tuple[int, int, dict[str, str]]]
+) -> dict[tuple[int, str], str]:
+    """The name of every tagged cell's class in a colimit, by merging sets.
+
+    Classes start as single tagged cells ``(index, cell)`` and are merged
+    until no arrow relates two of them; each is named ``"index:cell"``
+    after its least member.
+    """
+    classes = [{(i, c)} for i, obj in enumerate(objects) for c in obj.cells]
+    links = [((s, c), (t, d)) for s, t, mapping in arrows for c, d in mapping.items()]
+    merged = True
+    while merged:
+        merged = False
+        for one, two in links:
+            first = next(k for k in classes if one in k)
+            second = next(k for k in classes if two in k)
+            if first is not second:
+                classes.remove(second)
+                first |= second
+                merged = True
+    names = {}
+    for members in classes:
+        i, c = min(members)
+        for member in members:
+            names[member] = f"{i}:{c}"
+    return names
 
 
 # --- random structures -----------------------------------------------------------

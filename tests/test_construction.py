@@ -2,12 +2,16 @@
 
 ``validate``, ``glue``, ``parallel``, ``extensions``, ``normalize``,
 ``restrict`` and the path labels of automata build their results without
-re-running the constructors' checks.  These tests rebuild such results
-through ``Ipomset(...)`` and ``Language(...)``, which check everything,
-and require the same value, the same hash and the same field types: a
-builder that hands over a ``list`` or a relation that is not transitively
-closed fails here.  A last test keeps ``assert`` out of the package,
-because ``python -O`` strips it.
+re-running the constructors' checks, and so do the tensors, colimits and
+cocones of precubical sets and the automata built from them.  These tests
+rebuild such results through ``Ipomset(...)``, ``Language(...)``,
+``PrecubicalSet(...)``, ``PrecubicalMap(...)``, ``Hda(...)`` and
+``HdaMap(...)``, which check everything, and require the same value and
+the same field types: a builder that hands over a ``list`` or a relation
+that is not transitively closed fails here.  The last tests keep
+``assert`` out of the package, because ``python -O`` strips it, and keep
+``object.__new__``, which skips every check, inside the ``_unchecked*``
+builders.
 """
 
 from __future__ import annotations
@@ -15,24 +19,36 @@ from __future__ import annotations
 import ast
 import pathlib
 import random
+import sys
 
 from hdalang import (
+    Hda,
+    HdaMap,
     InternalOrderCycle,
     Ipomset,
     Language,
+    PrecubicalMap,
+    PrecubicalSet,
     SequentialMismatch,
+    coproduct,
+    coproduct_hda,
     extensions,
+    finite_colimit,
     glue,
     language,
     normalize,
     parallel,
+    pushout_hda,
     replicate,
+    replication_chain_prefix,
     restrict,
+    tensor,
+    tensor_hda,
     tensor_power,
     validate,
 )
 from hdalang.samples import edge_automaton, grid_automaton
-from oracles import random_hda, random_ipomset, universe_up_to
+from oracles import oracle_colimit_names, random_hda, random_ipomset, universe_up_to
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "hdalang"
 
@@ -116,6 +132,114 @@ class TestLanguageBuilds:
             assert_language_as_if_public(language(automaton, 3))
 
 
+def assert_set_as_if_public(x: PrecubicalSet) -> None:
+    """``PrecubicalSet(...)`` accepts ``x``'s own data and builds an equal value."""
+    assert PrecubicalSet(x.cells, x.faces) == x
+    assert type(x.cells) is dict and type(x.faces) is dict
+    assert all(type(w) is tuple for w in x.cells.values())
+
+
+def assert_map_as_if_public(f: PrecubicalMap) -> None:
+    """``PrecubicalMap(...)`` accepts ``f``'s own data and builds an equal value."""
+    assert PrecubicalMap(f.source, f.target, f.mapping) == f
+    assert type(f.mapping) is dict
+
+
+def assert_hda_as_if_public(a: Hda) -> None:
+    """``Hda(...)`` accepts ``a``'s own data, with a checked carrier."""
+    assert_set_as_if_public(a.carrier)
+    assert Hda(a.carrier, a.start, a.accept) == a
+    assert type(a.start) is frozenset and type(a.accept) is frozenset
+
+
+def small_hda(rnd: random.Random) -> Hda:
+    return random_hda(rnd, max_vertices=4, max_edges=4, max_squares=2)
+
+
+class TestPrecubicalBuilds:
+    def test_tensor_and_coproduct_of_random_carriers(self):
+        rnd = random.Random(604)
+        for _ in range(30):
+            x, y = small_hda(rnd).carrier, small_hda(rnd).carrier
+            assert_set_as_if_public(tensor(x, y))
+            parts = [x, y, x]
+            total, injections = coproduct(parts)
+            assert_set_as_if_public(total)
+            for injection in injections:
+                assert_map_as_if_public(injection)
+            assert (total, injections) == finite_colimit(parts, [])
+
+    def test_colimits_name_classes_after_their_least_member(self):
+        # Arrows run from lower to higher indices and back, so unions meet
+        # roots in either order.
+        rnd = random.Random(605)
+        point = PrecubicalSet({"p": ()}, {})
+        for _ in range(40):
+            x, y = small_hda(rnd).carrier, small_hda(rnd).carrier
+            objects = [y, point, x, point, x]
+            arrows = [
+                (s, t, {"p": rnd.choice(objects[t].cells_of_dim(0))})
+                for s in (1, 3)
+                for t in (0, 2)
+            ]
+            arrows.append((4, 2, {c: c for c in x.cells}))
+            colim, cocones = finite_colimit(objects, arrows)
+            assert_set_as_if_public(colim)
+            names = oracle_colimit_names(objects, arrows)
+            for i, cocone in enumerate(cocones):
+                assert_map_as_if_public(cocone)
+                assert cocone.mapping == {c: names[(i, c)] for c in objects[i].cells}
+
+
+class TestAutomatonBuilds:
+    def test_tensor_coproduct_pushout_and_replicate(self):
+        rnd = random.Random(606)
+        apex = Hda(PrecubicalSet({"p": ()}, {}), frozenset(), frozenset())
+        for _ in range(20):
+            x, y = small_hda(rnd), small_hda(rnd)
+            assert_hda_as_if_public(tensor_hda(x, y))
+            assert_hda_as_if_public(coproduct_hda([x, y, x]))
+            assert_hda_as_if_public(replicate(x, 2))
+            into_x = {"p": rnd.choice(x.carrier.cells_of_dim(0))}
+            into_y = {"p": rnd.choice(y.carrier.cells_of_dim(0))}
+            assert_hda_as_if_public(pushout_hda(apex, x, y, into_x, into_y))
+
+    def test_replication_chain_stages_and_inclusions(self):
+        rnd = random.Random(607)
+        seeds = [edge_automaton("a", with_start=False, with_accept=True)]
+        for _ in range(6):
+            x = small_hda(rnd)
+            seeds.append(Hda(x.carrier, frozenset(), x.accept))
+        for seed in seeds:
+            vertices = seed.carrier.cells_of_dim(0)
+            base, far = rnd.choice(vertices), rnd.choice(vertices)
+            stages, inclusions = replication_chain_prefix(seed, 3, base, far)
+            for stage in stages:
+                assert_hda_as_if_public(stage)
+            for inclusion in inclusions:
+                again = HdaMap(inclusion.source, inclusion.target, inclusion.mapping)
+                assert again == inclusion
+                assert type(inclusion.mapping) is dict
+
+    def test_built_sets_skip_validate_precubical(self, monkeypatch):
+        edge = edge_automaton("a")
+        module = sys.modules["hdalang.precubical"]
+        check = module.validate_precubical
+        calls = []
+
+        def counted(cells, faces):
+            calls.append(len(cells))
+            return check(cells, faces)
+
+        monkeypatch.setattr(module, "validate_precubical", counted)
+        replicate(edge, 4)
+        tensor_power(edge, 4)
+        assert calls == []
+        # The count does see the public constructor.
+        PrecubicalSet(edge.carrier.cells, edge.carrier.faces)
+        assert calls == [3]
+
+
 class TestNoAssert:
     def test_package_has_no_assert_statement(self):
         modules = sorted(SRC.glob("*.py"))
@@ -124,3 +248,57 @@ class TestNoAssert:
             tree = ast.parse(module.read_text(encoding="utf-8"), str(module))
             lines = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
             assert not lines, f"{module.name} has assert statements at lines {lines}"
+
+    def test_only_unchecked_builders_call_object_new(self):
+        trees = {
+            module.name: ast.parse(module.read_text(encoding="utf-8"), str(module))
+            for module in sorted(SRC.glob("*.py"))
+        }
+
+        def is_object_new(node):
+            return (
+                isinstance(node, ast.Attribute)
+                and node.attr == "__new__"
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "object"
+            )
+
+        # Names bound to ``object.__new__``, and the names they are
+        # imported under.
+        aliases = {
+            target.id
+            for tree in trees.values()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Assign) and is_object_new(node.value)
+            for target in node.targets
+            if isinstance(target, ast.Name)
+        }
+        aliases |= {
+            name.asname or name.name
+            for tree in trees.values()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            for name in node.names
+            if name.name in aliases
+        }
+
+        def calls(node, scope):
+            """``(line, enclosing function)`` of each call of ``object.__new__``."""
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                scope = node.name
+            if isinstance(node, ast.Call) and (
+                is_object_new(node.func)
+                or isinstance(node.func, ast.Name) and node.func.id in aliases
+            ):
+                yield node.lineno, scope
+            for child in ast.iter_child_nodes(node):
+                yield from calls(child, scope)
+
+        found = [
+            (name, line, scope)
+            for name, tree in trees.items()
+            for line, scope in calls(tree, "<module>")
+        ]
+        assert found
+        stray = [c for c in found if not c[2].startswith("_unchecked")]
+        assert not stray, f"object.__new__ called outside _unchecked* builders: {stray}"

@@ -21,6 +21,7 @@ from hdalang import (
     EMPTY,
     Hda,
     Language,
+    PrecubicalSet,
     from_chain,
     from_concurrent,
     glue,
@@ -372,6 +373,16 @@ class TestCliFailures:
             main(["chain", seed, "--n", "2", "--base", "e", "--far", "v1"]) == 1
         )
         assert read_json(capsys)["error"] == "ValueError"
+
+    def test_tensor_id_collision_is_exit_1(self, tmp_path, capsys):
+        def automaton(*cells):
+            carrier = PrecubicalSet({c: () for c in cells}, {})
+            return hda_to_doc(Hda(carrier, frozenset(), frozenset()))
+
+        left = write_doc(tmp_path, "l.json", automaton("a|b", "a"))
+        right = write_doc(tmp_path, "r.json", automaton("c", "b|c"))
+        assert main(["tensor", left, right]) == 1
+        assert read_json(capsys)["error"] == "PrecubicalInvariant"
 
     def test_negative_counts_are_exit_2(self, tmp_path, capsys):
         hda = write_doc(tmp_path, "hda.json", hda_to_doc(edge_automaton("a")))

@@ -425,6 +425,13 @@ class TestReplication:
                 stages[k], stages[k + 1], inc.mapping
             ) == []
 
+    def test_chain_prefix_refuses_a_seed_with_start_cells(self):
+        # Later stages carry no start cells, so no inclusion could keep them.
+        seed = edge_automaton("a")
+        assert len(replication_chain_prefix(seed, 1, "v0", "v1")[0]) == 1
+        with pytest.raises(PrecubicalInvariant, match="start cell 'v0'"):
+            replication_chain_prefix(seed, 2, "v0", "v1")
+
     def test_chain_prefix_language(self):
         seed = edge_automaton("a", with_start=False, with_accept=True)
         stages, inclusions = replication_chain_prefix(seed, 3, "v0", "v1")

@@ -9,9 +9,10 @@ Core claims exercised here:
   interchange violations; well-formed data passes.
 * ``apply_face`` is independent of the order in which positions are
   removed, because the face family satisfies the interchange law.
-* ``tensor`` multiplies cell families word-wise, ``coproduct`` tags
-  components, and ``finite_colimit`` identifies cells along arbitrary
-  maps (coequalisers can create loops).
+* ``tensor`` multiplies cell families word-wise and refuses colliding
+  cell ids; ``finite_colimit`` identifies cells along arbitrary maps
+  (coequalisers can create loops), and ``coproduct`` is its diagram
+  without arrows, tagging part ``i``'s cells ``"i:"``.
 """
 
 from __future__ import annotations
@@ -394,12 +395,11 @@ class TestTensor:
             assert left.word(tensor_cell_id("u", c)) == x.word(c)
 
     def test_id_collision_is_rejected(self):
-        x = PrecubicalSet(cells={"p|q": ()}, faces={})
-        weird = PrecubicalSet(cells={"p": (), "q|r)(s": ()}, faces={})
-        try:
-            tensor(x, weird)
-        except PrecubicalInvariant:
-            pass  # acceptable: ambiguous composite ids refused
+        # ("a|b", "c") and ("a", "b|c") both give "(a|b|c)".
+        x = PrecubicalSet(cells={"a|b": (), "a": ()}, faces={})
+        y = PrecubicalSet(cells={"c": (), "b|c": ()}, faces={})
+        with pytest.raises(PrecubicalInvariant, match="collision"):
+            tensor(x, y)
 
     def test_tensor_validates(self):
         x = square_complex()
