@@ -14,7 +14,9 @@ and is closed under subsumption; since cyclic automata have unboundedly
 many events, languages here are always extracted *up to an event budget*.
 There is one path semantics: a label is the glue of one piece per step
 (the higher cell's events, with the started ones unsourced or the
-finished ones untargeted), built in closed form by one step function.
+finished ones untargeted).  One step function, :func:`_advance`, builds
+it with the composition kernel of :func:`hdalang.ipomset.glue`
+(``ipomset._glued``) from the piece's fields, without building the piece.
 The label of a single path (:func:`ev_label`), the path enumeration and
 the memoised language extraction all take their steps from one table and
 their labels from that one step.
@@ -33,14 +35,14 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, Mapping, Sequence
 
-from hdalang.ipomset import InternalOrderCycle, Ipomset, _unchecked, identity
+from hdalang.ipomset import InternalOrderCycle, Ipomset, _glued, _unchecked, identity
 from hdalang.language import Language, normalize
 from hdalang.precubical import (
     PrecubicalInvariant,
     PrecubicalSet,
     UnknownCell,
     Word,
-    finite_colimit,
+    _colimit,
     tensor,
     tensor_cell_id,
     validate_precubical_map,
@@ -197,22 +199,16 @@ def validate_path(automaton: Hda, path: Path) -> None:
 def _advance(label: Ipomset, step: Step, word: Word) -> Ipomset:
     """The label after ``step``; ``word`` is that of the step's higher cell.
 
-    This is the glue of ``label`` with the step's piece (the higher cell's
+    This is the glue of ``label`` with the step's piece: the higher cell's
     events, all concurrent, with the started ones unsourced or the finished
-    ones untargeted), built in closed form.  ``label``'s targets are the
-    current cell's events in word order.  A down-step only drops the
-    finished events from the targets.  An up-step keeps every non-target's
-    number ``x``: its predecessors are the ``x`` events before it, and none
-    of them is fresh.  Each fresh event comes after the ``m`` non-targets
-    and the word events before it, so the one at word position ``i`` gets
-    ``m + i``.  An old target comes after its old predecessors and the
-    fresh events before it in the word, so it moves up by their number.
-    These counts are a numbering exactly when precedence and event order
-    are acyclic together; otherwise the label does not exist.
+    ones untargeted.  ``label``'s targets are the current cell's events in
+    word order, so they match the piece's sources.  A down-step renumbers
+    nothing and only drops the finished events from the targets; an
+    up-step is built by :func:`hdalang.ipomset._glued` from the fields.
 
     Raises:
-        InternalOrderCycle: the numbers are not ``0..n-1`` for the ``n``
-            events of the result.
+        InternalOrderCycle: the step's event order conflicts with the
+            label's precedence, so the glue has no canonical numbering.
     """
     targets = sorted(label.targets)
     if isinstance(step, DownStep):
@@ -220,38 +216,10 @@ def _advance(label: Ipomset, step: Step, word: Word) -> Ipomset:
         return _unchecked(
             label.labels, label.precedence, label.sources, label.targets - done
         )
-    m = label.size - len(targets)
-    number = list(range(label.size))
-    ends: list[int] = []
-    fresh: list[int] = []
-    olds = iter(targets)
-    for i in range(len(word)):
-        if i + 1 in step.positions:
-            fresh.append(m + i)
-            ends.append(m + i)
-        else:
-            t = next(olds)
-            number[t] = t + len(fresh)
-            ends.append(number[t])
-    size = label.size + len(fresh)
-    labels: list[str | None] = [None] * size
-    for x, k in enumerate(number):
-        labels[k] = label.labels[x]
-    for k in fresh:
-        labels[k] = word[k - m]
-    if None in labels:
-        raise InternalOrderCycle(
-            "the step's event order conflicts with the label's precedence"
-        )
-    # A predecessor of a non-target is a non-target, so the new pairs need
-    # no closing.
-    before = [x for x in range(label.size) if x not in label.targets]
-    return _unchecked(
-        tuple(labels),
-        frozenset((number[a], number[b]) for a, b in label.precedence)
-        | frozenset((x, f) for x in before for f in fresh),
-        frozenset(number[s] for s in label.sources),
-        frozenset(ends),
+    idle = [i for i in range(len(word)) if i + 1 not in step.positions]
+    return _glued(
+        label.labels, label.precedence, label.sources, targets,
+        word, (), idle, range(len(word)),
     )
 
 
@@ -409,8 +377,11 @@ def tensor_hda(x: Hda, y: Hda) -> Hda:
 def _marked_colimit(
     parts: Sequence[Hda], arrows: Sequence[tuple[int, int, Mapping[str, str]]]
 ) -> Hda:
-    """The colimit of the parts' carriers, marked by the cocone images."""
-    colim, cocones = finite_colimit([p.carrier for p in parts], arrows)
+    """The colimit of the parts' carriers, marked by the cocone images.
+
+    The arrows must already be precubical maps; they are not checked again.
+    """
+    colim, cocones = _colimit([p.carrier for p in parts], arrows)
     marked = list(zip(parts, cocones))
     return Hda(
         colim,
@@ -478,7 +449,8 @@ def replication_chain_prefix(
     place.
 
     Args:
-        seed: the automaton to replicate; used unmarked except for accepts.
+        seed: the automaton to replicate.  Its accept cells stay marked in
+            every stage; later stages carry no start cells.
         n: number of stages to build (at least 1).
         base: a vertex of ``seed`` acting as the "not yet spawned" state.
         far: the vertex of ``seed`` whose tensor powers mark acceptance.
@@ -486,6 +458,13 @@ def replication_chain_prefix(
     Returns:
         The stages ``[stage_1 .. stage_n]`` and the inclusion of each stage
         into the next.
+
+    Raises:
+        ValueError: ``n`` is below 1, or ``base`` or ``far`` is not a vertex.
+        UnknownCell: ``base`` or ``far`` is not a cell of ``seed``.
+        PrecubicalInvariant: ``n`` is at least 2 and ``seed`` has start
+            cells, which stage 2 leaves unmarked, so the inclusion of stage
+            1 would not be an HDA map; or two tensor cell ids collide.
     """
     if n < 1:
         raise ValueError("the chain prefix has at least one stage")
@@ -500,7 +479,10 @@ def replication_chain_prefix(
     for _ in range(1, n):
         bigger = tensor(power, seed.carrier)   # carrier of seed ** (k+1)
         onto_base = {c: tensor_cell_id(c, base) for c in power.cells}
-        colim, cocones = finite_colimit(
+        # Both arrows are precubical maps by construction: the first is the
+        # identity or a cocone of the previous colimit, and tensoring with a
+        # vertex keeps words and faces.
+        colim, cocones = _colimit(
             [power, stages[-1].carrier, bigger],
             [(0, 1, into_stage), (0, 2, onto_base)],
         )
@@ -527,18 +509,6 @@ def replication_chain_prefix(
 
 
 # --- structural counts ------------------------------------------------------------
-
-
-def branching_degree(automaton: Hda, cell: str) -> int:
-    """How many one-dimension-up cells have ``cell`` among their faces."""
-    carrier = automaton.carrier
-    word = carrier.word(cell)
-    above = carrier.cells_of_dim(len(word) + 1)
-    return sum(
-        1
-        for big in above
-        if any(f == cell for (_, _, f) in carrier.iter_faces(big))
-    )
 
 
 def start_cell_count(automaton: Hda) -> int:

@@ -36,7 +36,9 @@ The module provides:
   less ordered"), returning an explicit witness bijection;
 * :func:`interval_representation` -- recognise interval orders and either
   return endpoint functions or a forbidden-suborder witness;
-* :func:`glue` / :func:`parallel` -- sequential and parallel composition.
+* :func:`glue` / :func:`parallel` -- sequential and parallel composition;
+  ``glue`` and the path steps of :mod:`hdalang.hda` share one kernel,
+  ``_glued``, which numbers the composite in closed form.
 """
 
 from __future__ import annotations
@@ -243,15 +245,18 @@ def _unchecked(
 
 
 _Key = tuple[str, bool, bool]
-_Masks = tuple[tuple[int, ...], tuple[int, ...], tuple[_Key, ...], dict[_Key, int]]
+_Masks = tuple[
+    tuple[int, ...], tuple[int, ...], tuple[_Key, ...], dict[_Key, int], tuple[_Key, ...]
+]
 
 
 def _masks(p: Ipomset) -> _Masks:
-    """Bitmasks of ``p``'s structure: ``(pred, succ, keys, pools)``.
+    """Bitmasks of ``p``'s structure: ``(pred, succ, keys, pools, bag)``.
 
     Bit ``y`` of ``pred[x]`` (``succ[x]``) is set when ``y`` precedes
     (follows) ``x``; ``keys[x]`` is event ``x``'s label and interface role,
-    and ``pools`` maps each key to the mask of the events that have it.
+    ``pools`` maps each key to the mask of the events that have it, and
+    ``bag`` is the sorted keys, the multiset a bijection must preserve.
     They are derived from the stored fields on first use and kept on the
     instance.  The cache is written by attribute, never through
     ``__dict__``, which would turn the instance's inline attribute values
@@ -270,36 +275,9 @@ def _masks(p: Ipomset) -> _Masks:
         pools: dict[_Key, int] = {}
         for x, key in enumerate(keys):
             pools[key] = pools.get(key, 0) | 1 << x
-        masks = (tuple(pred), tuple(succ), keys, pools)
+        masks = (tuple(pred), tuple(succ), keys, pools, tuple(sorted(keys)))
         _set(p, "_derived", masks)
     return masks
-
-
-def _canonical(
-    labels: Sequence[str],
-    prec: frozenset[Pair],
-    order: Iterable[Pair],
-    sources: Iterable[int],
-    targets: Iterable[int],
-) -> Ipomset | None:
-    """Number events along ``prec`` united with ``order``; ``None`` if cyclic.
-
-    ``labels`` names the events ``0..n-1``, ``prec`` is their transitively
-    closed precedence, and ``order`` orders each pair that ``prec`` leaves
-    unordered in one direction, so the union relates every pair of events
-    exactly once.  Such a relation is acyclic exactly when the numbers of
-    events before each event are ``0..n-1``, and that number is the event's
-    canonical one.  The interfaces must already be extremal in ``prec``.
-    """
-    n = len(labels)
-    rank = [0] * n
-    for _, b in prec:
-        rank[b] += 1
-    for _, b in order:
-        rank[b] += 1
-    if sorted(rank) != list(range(n)):
-        return None
-    return _numbered(labels, prec, rank, sources, targets)
 
 
 def _numbered(
@@ -405,12 +383,20 @@ def validate(
         if any(a == t for a, _ in prec):
             raise TargetNotMaximal(f"target event {events[t]!r} has a successor")
 
-    result = _canonical([labels[e] for e in events], prec, essential, src, tgt)
-    if result is None:
+    # The union of ``prec`` and ``essential`` relates every pair of events
+    # exactly once.  Such a relation is acyclic exactly when the numbers of
+    # events before each event are ``0..n-1``, and that number is the
+    # event's canonical one.
+    rank = [0] * n
+    for _, b in prec:
+        rank[b] += 1
+    for _, b in essential:
+        rank[b] += 1
+    if sorted(rank) != list(range(n)):
         raise EventOrderCycle(
             "precedence and event order cannot be linearised together"
         )
-    return result
+    return _numbered([labels[e] for e in events], prec, rank, src, tgt)
 
 
 # --- convenience constructors -------------------------------------------------
@@ -478,14 +464,15 @@ def subsumes(p: Ipomset, q: Ipomset) -> tuple[int, ...] | None:
     every schedule of ``p`` is a schedule of ``q``.
 
     Since ``f`` reflects precedence, ``p`` needs more precedence pairs than
-    ``q`` unless the two are equal.  The search is forward checking on
-    bitmasks.  Each ``p``-event starts with the ``q``-events of its label
-    and interface role that have no more predecessors and no more
-    successors than it has.  Events are mapped in index order, each to its
-    candidates in ascending order; a choice narrows the candidates of every
-    later event by one mask and backtracks as soon as one has none left.
-    Only dead branches are cut, so the witness found is the
-    lexicographically least one.
+    ``q`` unless the two are equal; both need the same multiset of labels
+    with interface roles.  The search is forward checking on bitmasks.
+    Each ``p``-event starts with the ``q``-events of its label and
+    interface role that have no more predecessors and no more successors
+    than it has.  Events are mapped in index order, each to its candidates
+    in ascending order; a choice narrows the candidates of every later
+    event by one mask and backtracks as soon as one has none left.  Only
+    dead branches are cut, so the witness found is the lexicographically
+    least one.
 
     Returns:
         A tuple ``w`` with ``w[x] = f(x)``, or ``None`` when no witness
@@ -493,17 +480,15 @@ def subsumes(p: Ipomset, q: Ipomset) -> tuple[int, ...] | None:
         only ipomset that both subsumes and is subsumed by ``p`` is ``p``
         itself.
     """
-    n = p.size
-    if n != q.size or sorted(p.labels) != sorted(q.labels):
-        return None
-    if len(p.sources) != len(q.sources) or len(p.targets) != len(q.targets):
-        return None
     # ``f`` maps ``q``'s pairs into ``p``'s; with as many pairs it also
     # preserves precedence, and then index order, so it is the identity.
     if len(p.precedence) <= len(q.precedence):
-        return tuple(range(n)) if p == q else None
-    p_pred, p_succ, p_keys, _ = _masks(p)
-    q_pred, q_succ, _, q_pools = _masks(q)
+        return tuple(range(p.size)) if p == q else None
+    p_pred, p_succ, p_keys, _, p_bag = _masks(p)
+    q_pred, q_succ, _, q_pools, q_bag = _masks(q)
+    if p_bag != q_bag:
+        return None
+    n = p.size
 
     domains = []
     for x in range(n):
@@ -665,13 +650,59 @@ def glue(p: Ipomset, q: Ipomset) -> Ipomset:
             f"target interface {[p.labels[t] for t in p_targets]} does not "
             f"match source interface {[q.labels[s] for s in q_sources]}"
         )
+    return _glued(
+        p.labels, p.precedence, p.sources, p_targets,
+        q.labels, q.precedence, q_sources, q.targets,
+    )
 
-    # Carrier: p's events keep their numbers; q's interface events are
-    # identified with p's targets; the rest of q gets fresh numbers.
-    carry = dict(zip(q_sources, p_targets))
-    fresh = [b for b in range(q.size) if b not in carry]
-    carry.update((b, p.size + k) for k, b in enumerate(fresh))
-    labels = p.labels + tuple(q.labels[b] for b in fresh)
+
+def _glued(
+    p_labels: Sequence[str], p_prec: Iterable[Pair],
+    p_sources: Iterable[int], p_targets: Sequence[int],
+    q_labels: Sequence[str], q_prec: Iterable[Pair],
+    q_sources: Sequence[int], q_targets: Iterable[int],
+) -> Ipomset:
+    """The glue of canonical ``p`` and ``q``, given by their fields.
+
+    ``p_targets`` and ``q_sources`` are sorted and carry the same labels,
+    which is not checked here.  Each event is numbered by its count of
+    predecessors in precedence united with the inherited event order, a
+    union that relates every pair of events once.  With ``t_0 < .. <
+    t_{k-1}`` the targets of ``p``, ``s_0 < .. < s_{k-1}`` the sources of
+    ``q`` and ``m`` the non-targets of ``p``: a non-target ``x`` of ``p``
+    keeps ``x``; ``t_i`` becomes ``t_i + s_i - i``, after the ``s_i - i``
+    non-sources before ``s_i``; a non-source ``b`` of ``q`` becomes
+    ``m + b``, after the non-targets.  These counts lie in ``0..N-1`` for
+    the ``N`` events of the result and are a numbering exactly when the
+    union is acyclic.
+
+    Raises:
+        InternalOrderCycle: two events get the same count.
+    """
+    m = len(p_labels) - len(p_targets)
+    number = list(range(len(p_labels)))
+    carry: list[int] = []
+    fresh: list[int] = []
+    olds = iter(p_targets)
+    for b in range(len(q_labels)):
+        if b in q_sources:
+            # The ``s_i - i`` non-sources before ``s_i`` come before ``t_i``.
+            t = next(olds)
+            number[t] = t + len(fresh)
+            carry.append(number[t])
+        else:
+            fresh.append(m + b)
+            carry.append(m + b)
+    labels: list[str | None] = [None] * (m + len(q_labels))
+    for x, k in enumerate(number):
+        labels[k] = p_labels[x]
+    for k in fresh:
+        labels[k] = q_labels[k - m]
+    if None in labels:
+        raise InternalOrderCycle(
+            "gluing produced precedence and event order that cannot be "
+            "linearised together"
+        )
 
     # The union of p's pairs P, q's carried pairs Q and the block B of
     # (non-target of p, non-source of q) is already transitive.  A chain
@@ -679,30 +710,20 @@ def glue(p: Ipomset, q: Ipomset) -> Ipomset:
     # q's sources, which are minimal, and B ends only at fresh events.  A
     # chain through a fresh event goes on in Q.  Targets of p are maximal
     # and sources of q minimal, so P then P lies in P, P then Q or B lies
-    # in B, Q then Q lies in Q, and B then Q lies in B.
-    raw = set(p.precedence)
-    raw |= {(carry[a], carry[b]) for a, b in q.precedence}
-    raw |= {
-        (x, carry[b])
-        for x in range(p.size)
-        if x not in p.targets
-        for b in range(q.size)
-        if b not in q.sources
-    }
-    prec = frozenset(raw)
-
-    # The new precedence only joins a non-target of p to a non-source of q,
-    # so a pair inside one operand keeps its relation and its event order.
-    order = p.event_order | {(carry[a], carry[b]) for a, b in q.event_order}
-    result = _canonical(
-        labels, prec, order, p.sources, (carry[t] for t in q.targets)
+    # in B, Q then Q lies in Q, and B then Q lies in B.  A pair of p starts
+    # at a non-target, which keeps its number.  The pairs go through a set
+    # because a frozenset copied from a set gets a table sized to its
+    # contents, where one built from a list of 5 to 7 pairs gets one twice
+    # as large; path labels are kept by the thousand.
+    prec = {(a, number[b]) for a, b in p_prec}
+    prec.update([(carry[a], carry[b]) for a, b in q_prec])
+    prec.update([(x, f) for x in range(len(p_labels)) if x not in p_targets for f in fresh])
+    return _unchecked(
+        tuple(labels),
+        frozenset(prec),
+        frozenset(map(number.__getitem__, p_sources)),
+        frozenset(map(carry.__getitem__, q_targets)),
     )
-    if result is None:
-        raise InternalOrderCycle(
-            "gluing produced precedence and event order that cannot be "
-            "linearised together"
-        )
-    return result
 
 
 def parallel(p: Ipomset, q: Ipomset) -> Ipomset:

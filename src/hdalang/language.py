@@ -305,7 +305,7 @@ def _interval_refinements(q: Ipomset) -> list[_Order]:
     of ``k``.
     """
     n = q.size
-    q_pred, q_succ, keys, _ = _masks(q)
+    q_pred, q_succ, keys, _, _ = _masks(q)
     twins = [0] * n
     for k in range(1, n):
         same = keys[k] == keys[k - 1] and q_pred[k] == q_pred[k - 1]

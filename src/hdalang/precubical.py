@@ -349,15 +349,6 @@ class PrecubicalSet:
             current = self.faces[(current, 0 if pos in low else 1, pos)]
         return current
 
-    def iter_faces(self, cell: str) -> list[tuple[int, int, str]]:
-        """All elementary faces of a cell as ``(nu, position, face_id)``."""
-        d = self.dim(cell)
-        return [
-            (nu, pos, self.faces[(cell, nu, pos)])
-            for nu in (0, 1)
-            for pos in range(1, d + 1)
-        ]
-
 
 # --- precubical maps -------------------------------------------------------------
 
@@ -499,6 +490,24 @@ def finite_colimit(
         IllFormedDiagram: an arrow's endpoints are out of range or its
             mapping is not a valid morphism between them.
     """
+    for k, (si, ti, mapping) in enumerate(morphisms):
+        if not (0 <= si < len(objects)) or not (0 <= ti < len(objects)):
+            raise IllFormedDiagram(
+                f"morphism {k} has endpoints ({si}, {ti}) outside the diagram"
+            )
+        problems = validate_precubical_map(objects[si], objects[ti], mapping)
+        if problems:
+            raise IllFormedDiagram(
+                f"morphism {k} is not a precubical map: " + "; ".join(problems)
+            )
+    return _colimit(objects, morphisms)
+
+
+def _colimit(
+    objects: Sequence[PrecubicalSet],
+    morphisms: Sequence[tuple[int, int, Mapping[str, str]]],
+) -> tuple[PrecubicalSet, list[PrecubicalMap]]:
+    """:func:`finite_colimit` of arrows the caller knows to be precubical maps."""
     # Union-find over tagged cells ``(index, cell)``; linking the larger root
     # under the smaller keeps every root the least member of its class.
     parent = {(i, c): (i, c) for i, obj in enumerate(objects) for c in obj.cells}
@@ -511,16 +520,7 @@ def finite_colimit(
             parent[member], member = root, parent[member]
         return root
 
-    for k, (si, ti, mapping) in enumerate(morphisms):
-        if not (0 <= si < len(objects)) or not (0 <= ti < len(objects)):
-            raise IllFormedDiagram(
-                f"morphism {k} has endpoints ({si}, {ti}) outside the diagram"
-            )
-        problems = validate_precubical_map(objects[si], objects[ti], mapping)
-        if problems:
-            raise IllFormedDiagram(
-                f"morphism {k} is not a precubical map: " + "; ".join(problems)
-            )
+    for si, ti, mapping in morphisms:
         for c, img in mapping.items():
             one, two = find((si, c)), find((ti, img))
             if one != two:

@@ -47,7 +47,7 @@ from hdalang import (
     tensor_power,
     validate,
 )
-from hdalang.samples import edge_automaton, grid_automaton
+from hdalang.samples import edge_automaton, grid_automaton, pushout_span
 from oracles import oracle_colimit_names, random_hda, random_ipomset, universe_up_to
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "hdalang"
@@ -238,6 +238,28 @@ class TestAutomatonBuilds:
         # The count does see the public constructor.
         PrecubicalSet(edge.carrier.cells, edge.carrier.faces)
         assert calls == [3]
+
+    def test_arrows_are_checked_once(self, monkeypatch):
+        # pushout_hda checks each leg as an HDA map and builds the colimit
+        # without checking the legs again; a chain builds its own arrows.
+        span = pushout_span()
+        seed = edge_automaton("a", with_start=False, with_accept=True)
+        check = sys.modules["hdalang.precubical"].validate_precubical_map
+        calls = []
+
+        def counted(source, target, mapping):
+            calls.append(len(mapping))
+            return check(source, target, mapping)
+
+        for name in ("hdalang.precubical", "hdalang.hda"):
+            monkeypatch.setattr(sys.modules[name], "validate_precubical_map", counted)
+        pushout_hda(*span)
+        assert calls == [1, 1]
+        replication_chain_prefix(seed, 3, "v0", "v1")
+        assert calls == [1, 1]
+        # The count does see the public colimit.
+        finite_colimit([span[0].carrier, span[1].carrier], [(0, 1, span[3])])
+        assert calls == [1, 1, 1]
 
 
 class TestNoAssert:

@@ -33,7 +33,6 @@ from hdalang import (
     PrecubicalSet,
     UnknownCell,
     UpStep,
-    branching_degree,
     contains,
     coproduct_hda,
     enumerate_accepting_paths,
@@ -451,21 +450,3 @@ class TestReplication:
             ]
         )
         assert is_equal(lang, expected)
-
-
-class TestBranchingDegree:
-    def test_edge_vertices(self):
-        x = edge_automaton("a")
-        assert branching_degree(x, "v0") == 1
-        assert branching_degree(x, "v1") == 1
-        assert branching_degree(x, "e") == 0
-
-    def test_grid_shared_edge(self):
-        x = grid_automaton()
-        assert branching_degree(x, "a1") == 2
-        assert branching_degree(x, "a0") == 1
-        assert branching_degree(x, "v00") == 2
-
-    def test_unknown_cell(self):
-        with pytest.raises(UnknownCell):
-            branching_degree(edge_automaton("a"), "ghost")

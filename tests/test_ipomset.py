@@ -17,6 +17,7 @@ Core claims exercised here:
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -384,6 +385,45 @@ class TestInterval:
 # --- gluing -----------------------------------------------------------------
 
 
+def _glue_operands(rnd: random.Random) -> tuple[Ipomset, Ipomset]:
+    """Operands of 4-6 events each whose interfaces of 1-3 events match."""
+
+    def shape() -> Ipomset:
+        n = rnd.randint(4, 6)
+        pairs = {(i, j) for i, j in combinations(range(n), 2) if rnd.random() < 0.3}
+        labels = tuple(rnd.choice("ab") for _ in range(n))
+        return Ipomset(labels, frozenset(pairs), frozenset(), frozenset())
+
+    k = rnd.randint(1, 3)
+    while True:
+        p, q = shape(), shape()
+        maximal = [x for x in range(p.size) if not p.successors(x)]
+        minimal = [b for b in range(q.size) if not q.predecessors(b)]
+        if len(maximal) >= k and len(minimal) >= k:
+            break
+    targets = sorted(rnd.sample(maximal, k))
+    sources = sorted(rnd.sample(minimal, k))
+    q_labels = list(q.labels)
+    for t, s in zip(targets, sources):
+        q_labels[s] = p.labels[t]
+    p_starts = [x for x in range(p.size) if not p.predecessors(x)]
+    q_ends = [b for b in range(q.size) if not q.successors(b)]
+    return (
+        Ipomset(
+            p.labels,
+            p.precedence,
+            frozenset(x for x in p_starts if rnd.random() < 0.3),
+            frozenset(targets),
+        ),
+        Ipomset(
+            tuple(q_labels),
+            q.precedence,
+            frozenset(sources),
+            frozenset(b for b in q_ends if rnd.random() < 0.3),
+        ),
+    )
+
+
 class TestGlue:
     def test_points_compose_to_chain(self):
         assert glue(point("a"), point("c")) == from_chain(["a", "c"])
@@ -430,6 +470,24 @@ class TestGlue:
                 assert glue(p, q) == expected
             matched += 1
         assert matched == 120
+
+    def test_matches_the_oracle_on_larger_interfaced_operands(self):
+        # A source of q with a non-source before it moves the p target it is
+        # glued to up by that many events.
+        rnd = random.Random(411)
+        cycles = shifted = 0
+        for _ in range(300):
+            p, q = _glue_operands(rnd)
+            expected = oracle_glue(p, q)
+            if expected is None:
+                cycles += 1
+                with pytest.raises(InternalOrderCycle):
+                    glue(p, q)
+            else:
+                assert glue(p, q) == expected, (p, q)
+            shifted += any(s > i for i, s in enumerate(sorted(q.sources)))
+        assert cycles >= 40
+        assert shifted >= 100
 
     def test_associative(self):
         rnd = random.Random(409)
