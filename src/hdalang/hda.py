@@ -18,8 +18,8 @@ finished ones untargeted).  One step function, :func:`_advance`, builds
 it with the composition kernel of :func:`hdalang.ipomset.glue`
 (``ipomset._glued``) from the piece's fields, without building the piece.
 The label of a single path (:func:`ev_label`), the path enumeration and
-the memoised language extraction all take their steps from one table and
-their labels from that one step.
+the antichain-pruned language extraction all take their steps from one
+table and their labels from that one step.
 
 Paths whose accumulated precedence contradicts the order in which
 concurrent events were started admit no canonical label; they are
@@ -35,7 +35,9 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, Mapping, Sequence
 
-from hdalang.ipomset import InternalOrderCycle, Ipomset, _glued, _unchecked, identity
+from hdalang.ipomset import (
+    InternalOrderCycle, Ipomset, _glued, _unchecked, identity, subsumes,
+)
 from hdalang.language import Language, normalize
 from hdalang.precubical import (
     PrecubicalInvariant,
@@ -307,48 +309,119 @@ def enumerate_accepting_paths(automaton: Hda, max_events: int) -> Iterator[Path]
             yield from walk(cell, max_events - active, [cell], [])
 
 
-def language(automaton: Hda, max_events: int) -> Language:
-    """The automaton's language up to ``max_events`` events.
+def _expanded(automaton: Hda, max_events: int) -> Iterator[tuple[str, Ipomset]]:
+    """The states (cell, label) that :func:`language` expands, in that order.
 
-    Explores reachable pairs of (cell, accumulated label) with memoisation:
-    the label's target interface always lists the current cell's active
-    events in word order, so the pair determines all future behaviour.
-    Each step builds the next label in closed form with :func:`_advance`,
-    whose count of events before each event is also its acyclicity test;
-    a branch with no canonical label is cut there.  Labels are collected
-    at accepting cells and normalised into a subsumption-closed language
-    with this event bound.
+    States wait in buckets by their count of precedence pairs, drained in
+    increasing order.  An up-step only adds pairs and a down-step keeps
+    them, so a state never lands in a bucket already drained, and every
+    label with fewer pairs than a popped one has been popped before it.
+    A popped label with events left to start is dropped when it refines a
+    label kept at the same cell; otherwise it is kept and expanded.  A
+    label that has used the whole budget can only take down-steps and is
+    expanded untested.  A state is pushed at most once.
     """
     carrier = automaton.carrier
     moves = _moves(carrier)
-    found: set[Ipomset] = set()
-    seen: set[tuple[str, Ipomset]] = set()
-    stack: list[tuple[str, Ipomset]] = []
+    # Identities have no precedence pairs.
+    start = [
+        (cell, identity(carrier.word(cell)))
+        for cell in sorted(automaton.start)
+        if carrier.dim(cell) <= max_events
+    ]
+    seen = set(start)
+    buckets = [start]
+    kept: dict[tuple[str, int, tuple[str, ...]], list[Ipomset]] = {}
 
-    for cell in sorted(automaton.start):
-        if carrier.dim(cell) <= max_events:
-            state = (cell, identity(carrier.word(cell)))
-            if state not in seen:
-                seen.add(state)
-                stack.append(state)
+    pairs = 0
+    while pairs < len(buckets):
+        bucket = buckets[pairs]
+        while bucket:
+            cell, label = bucket.pop()
+            room = max_events - label.size
+            if room:
+                # Same cell, same bag of labels and sources: the targets
+                # are the cell's events, so only these can be compared.
+                key = (cell, len(label.sources), tuple(sorted(label.labels)))
+                rivals = kept.setdefault(key, [])
+                if any(
+                    len(m.precedence) < pairs and subsumes(label, m) is not None
+                    for m in rivals
+                ):
+                    continue
+                rivals.append(label)
+            yield cell, label
+            for step, there, word in moves[cell]:
+                if _fresh(step) > room:
+                    continue
+                try:
+                    state = (there, _advance(label, step, word))
+                except InternalOrderCycle:
+                    # No canonical label exists down this branch, nor down
+                    # any extension of it; see the module docstring.
+                    continue
+                if state not in seen:
+                    seen.add(state)
+                    more = len(state[1].precedence)
+                    if more >= len(buckets):
+                        buckets.extend([] for _ in range(more + 1 - len(buckets)))
+                    buckets[more].append(state)
+        pairs += 1
 
-    while stack:
-        cell, label = stack.pop()
-        if cell in automaton.accept:
-            found.add(label)
-        for step, there, word in moves[cell]:
-            if label.size + _fresh(step) > max_events:
-                continue
-            try:
-                state = (there, _advance(label, step, word))
-            except InternalOrderCycle:
-                # No canonical label exists down this branch, nor down any
-                # extension of it; see the module docstring.
-                continue
-            if state not in seen:
-                seen.add(state)
-                stack.append(state)
 
+def language(automaton: Hda, max_events: int) -> Language:
+    """The automaton's language up to ``max_events`` events.
+
+    Explores pairs of (cell, accumulated label): the label's target
+    interface always lists the current cell's active events in word order,
+    so the pair determines all future behaviour.  Each step builds the next
+    label in closed form with :func:`_advance`, whose count of events
+    before each event is also its acyclicity test; a branch with no
+    canonical label is cut there.  The exploration is pruned to antichains
+    (De Wulf, Doyen, Henzinger & Raskin, CAV 2006): :func:`_expanded`
+    does not expand a label with events left to start if it refines a
+    label kept at the same cell with fewer precedence pairs.  The labels
+    expanded at accepting cells are normalised into a subsumption-closed
+    language with this event bound.
+
+    Soundness.  Write ``l <= m`` when ``l`` refines ``m``.  The claim is
+    that every state ``(c, l)`` the unpruned exploration reaches has an
+    expanded state ``(c, m)`` with ``l <= m``; since expanded states are
+    reached states and the language is down-closed, both explorations then
+    give the same language.  By induction on the pair count of ``l``, then
+    on the length of the shortest step sequence reaching ``(c, l)``:
+
+    * ``(c, l)`` is a start state.  Identities have no pairs, so it is
+      popped from the first bucket with no kept label below it: expanded.
+    * ``(c, l)`` is ``_advance(l0, s, w)`` from ``(c0, l0)``, which the
+      induction covers by an expanded ``(c0, m0)``, ``l0 <= m0``.  Both
+      have the same events, so the budget lets ``s`` leave both.
+    * If ``m1 = _advance(m0, s, w)`` is defined, then ``l <= m1``: gluing
+      is monotone under refinement in both arguments (the gluing
+      precongruence of Fahrenberg, Johansen, Struth & Ziemiański, MSCS
+      2021), and here both are glued with the same piece.  ``(c, m1)`` is
+      pushed.  When popped it is expanded, or it refines a kept label
+      ``m2`` at ``c``, which was expanded, and ``l <= m1 <= m2``.
+    * If ``m0``'s step raises :class:`InternalOrderCycle` while ``l0``'s
+      does not, monotonicity says nothing about canonical labels.  The
+      glue of ``m0`` with the piece still exists as a behaviour, with an
+      event order that cannot be linearised with its precedence, and
+      ``l`` refines it.  By the representability fact of the module
+      docstring, that behaviour is implemented by a representable path of
+      the automaton, to the same cell, whose label ``l'`` it refines and
+      that comes earlier in the induction order.  The induction covers
+      ``(c, l')`` by an expanded ``(c, m')``, and ``l <= l' <= m'``.
+
+    It is *not* true that ``_advance(m0, s, w)`` is defined whenever
+    ``_advance(l0, s, w)`` is, so the last case is needed.  The
+    representability fact is not proved in this package; tests check the
+    covering directly against the unpruned exploration, including cases of
+    that last kind.
+    """
+    found = {
+        label for cell, label in _expanded(automaton, max_events)
+        if cell in automaton.accept
+    }
     return normalize(found, event_bound=max_events)
 
 

@@ -107,11 +107,14 @@ def transitive_closure(pairs: Iterable[Pair]) -> frozenset[Pair]:
         for a, outs in succ.items():
             if outs & bit:
                 succ[a] = outs | via
-    closed = []
+    # Collected in a set: a frozenset copied from a set gets a table sized
+    # to its contents, one built from a list or generator may get one
+    # twice as large.
+    closed = set()
     for a, outs in succ.items():
         while outs:
             bit = outs & -outs
-            closed.append((a, bit.bit_length() - 1))
+            closed.add((a, bit.bit_length() - 1))
             outs ^= bit
     return frozenset(closed)
 
@@ -291,10 +294,12 @@ def _numbered(
 
     ``rank`` must be a permutation of ``0..n-1`` that makes every pair of
     ``prec`` increasing, and the interfaces must be extremal in ``prec``.
+    The pairs go through a set for the table size, as in
+    :func:`transitive_closure`.
     """
     return _unchecked(
         tuple(labels[x] for x in sorted(range(len(labels)), key=rank.__getitem__)),
-        frozenset((rank[a], rank[b]) for a, b in prec),
+        frozenset({(rank[a], rank[b]) for a, b in prec}),
         frozenset(rank[s] for s in sources),
         frozenset(rank[t] for t in targets),
     )

@@ -8,7 +8,10 @@ Core claims exercised here:
 * The closed-form step equals the oracle's glue of the label with the
   step's piece, and fails exactly when that glue has no canonical form.
 * ``language`` agrees with the brute-force path-enumeration oracle on
-  every fixture and on a batch of randomized automata.
+  every fixture and on batches of randomized automata, of dimension
+  three and more among them.
+* The antichain pruning covers the unpruned exploration: every state it
+  reaches refines a state ``language`` expands at the same cell.
 * Some geometrically valid paths revisit axes in an order their own
   precedence contradicts; they have no canonical label, are reported
   via ``InternalOrderCycle``, and never affect the language.
@@ -28,6 +31,7 @@ from hdalang import (
     Hda,
     HdaMap,
     InternalOrderCycle,
+    Ipomset,
     Path,
     PrecubicalInvariant,
     PrecubicalSet,
@@ -46,11 +50,14 @@ from hdalang import (
     language,
     normalize,
     par_closure_bounded,
+    par_compose,
     point,
     pushout_hda,
     replicate,
     replication_chain_prefix,
+    restrict,
     start_cell_count,
+    subsumes,
     tensor_hda,
     tensor_power,
     union,
@@ -58,9 +65,15 @@ from hdalang import (
     validate_hda_map,
     validate_path,
 )
-from hdalang.hda import _advance, _moves
+from hdalang.hda import _advance, _expanded, _moves
 from hdalang.samples import edge_automaton, grid_automaton, pushout_span
-from oracles import oracle_glue, path_label_language, random_hda, step_piece
+from oracles import (
+    oracle_glue,
+    oracle_subsumes,
+    path_label_language,
+    random_hda,
+    step_piece,
+)
 
 
 def cube_automaton() -> Hda:
@@ -177,10 +190,13 @@ class TestAdvance:
     """``_advance`` builds the glue of a label with one step's piece."""
 
     @staticmethod
-    def check(automaton: Hda, max_events: int) -> tuple[int, int]:
+    def check(
+        automaton: Hda, max_events: int
+    ) -> tuple[int, int, set[tuple[str, Ipomset]]]:
         """Compare every step ``language`` explores with the oracle's glue.
 
-        Returns how many steps were compared and how many had no label.
+        Returns how many steps were compared, how many had no label, and
+        the states reached: the unpruned exploration, with no antichain.
         """
         carrier = automaton.carrier
         moves = _moves(carrier)
@@ -214,24 +230,82 @@ class TestAdvance:
                 if state not in seen:
                     seen.add(state)
                     stack.append(state)
-        return steps, cycles
+        return steps, cycles, seen
 
     def test_matches_oracle_glue_on_fixtures(self):
-        steps, cycles = self.check(tensor_power(edge_automaton("a"), 4), 4)
+        steps, cycles, _ = self.check(tensor_power(edge_automaton("a"), 4), 4)
         assert cycles > 0
         assert steps > cycles
-        steps, _ = self.check(grid_automaton(), 4)
+        steps, _, _ = self.check(grid_automaton(), 4)
         assert steps > 0
 
     def test_matches_oracle_glue_on_random_automata(self):
         rnd = random.Random(3303)
         total = knotted = 0
         for _ in range(40):
-            steps, cycles = self.check(random_hda(rnd), 4)
+            steps, cycles, _ = self.check(random_hda(rnd), 4)
             total += steps
             knotted += cycles
         assert total > 1000
         assert knotted > 0
+
+
+class TestAntichainPruning:
+    """``language`` expands enough states to cover the unpruned exploration."""
+
+    @staticmethod
+    def cover(automaton: Hda, max_events: int) -> int:
+        """Check that each reached state refines an expanded one at its cell.
+
+        The reached states are those of :meth:`TestAdvance.check`.  Returns
+        how many steps leave a dominated label defined while the same step
+        from its covering label raises ``InternalOrderCycle``.
+        """
+        _, _, reached = TestAdvance.check(automaton, max_events)
+        expanded = list(_expanded(automaton, max_events))
+        assert len(set(expanded)) == len(expanded)
+        assert set(expanded) <= reached
+        at: dict[str, list[Ipomset]] = {}
+        for cell, label in expanded:
+            at.setdefault(cell, []).append(label)
+        moves = _moves(automaton.carrier)
+        knots = 0
+        for cell, label in reached - set(expanded):
+            # The kernel finds the covering label; the oracle confirms it.
+            cover = next(m for m in at[cell] if subsumes(label, m) is not None)
+            assert oracle_subsumes(label, cover)
+            assert len(cover.precedence) < len(label.precedence)
+            for step, _, word in moves[cell]:
+                if not isinstance(step, UpStep):
+                    continue
+                if label.size + len(step.positions) > max_events:
+                    continue
+                try:
+                    _advance(label, step, word)
+                except InternalOrderCycle:
+                    continue
+                try:
+                    _advance(cover, step, word)
+                except InternalOrderCycle:
+                    knots += 1
+        return knots
+
+    def test_covers_the_unpruned_exploration(self):
+        knots = self.cover(tensor_power(edge_automaton("a"), 4), 4)
+        knots += self.cover(grid_automaton(), 4)
+        rnd = random.Random(3304)
+        for _ in range(20):
+            knots += self.cover(random_hda(rnd), 4)
+        for _ in range(8):
+            knots += self.cover(tensor_hda(random_hda(rnd), random_hda(rnd)), 4)
+        # Refinement does not carry definedness over: a covering label's
+        # step can knot where the dominated label's step does not.
+        assert knots > 0
+
+    def test_prunes_dominated_labels(self):
+        cube = tensor_power(edge_automaton("a"), 4)
+        _, _, reached = TestAdvance.check(cube, 4)
+        assert len(list(_expanded(cube, 4))) < len(reached)
 
 
 class TestUnrepresentablePaths:
@@ -314,6 +388,31 @@ class TestLanguage:
                 language(automaton, 3),
                 normalize(path_label_language(automaton, 3)),
             )
+
+    def test_matches_path_oracle_on_higher_dimensional_automata(self):
+        # random_hda stops at dimension two; tensors of two and three of
+        # them reach dimension three and more.
+        rnd = random.Random(705)
+
+        def factor() -> Hda:
+            return random_hda(
+                rnd, max_vertices=4, max_edges=5, max_squares=4, allow_empty_marks=False
+            )
+
+        def high(factors: int) -> Hda:
+            while True:
+                automaton = factor()
+                for _ in range(factors - 1):
+                    automaton = tensor_hda(automaton, factor())
+                if max(map(automaton.carrier.dim, automaton.carrier.cells)) >= 3:
+                    return automaton
+
+        for automaton in [high(2) for _ in range(8)] + [high(3) for _ in range(3)]:
+            for bound in range(5):
+                assert is_equal(
+                    language(automaton, bound),
+                    normalize(path_label_language(automaton, bound)),
+                )
 
     def test_grid_members_are_exactly_ten(self):
         lang = language(grid_automaton(), 4)
@@ -412,6 +511,23 @@ class TestReplication:
         lang = language(rep, 3)
         expected = par_closure_bounded(normalize([point("a")]), 3)
         assert is_equal(lang, expected)
+
+    # Criterion C07 stops at five copies; pruning makes six cheap.
+    def test_replicate_six_gives_the_powers(self):
+        lang = language(replicate(edge_automaton("a"), 6), 6)
+        assert set(lang.generators) == {
+            from_concurrent(["a"] * k) for k in range(7)
+        }
+
+    def test_sixth_tensor_power(self):
+        lang = language(tensor_power(edge_automaton("a"), 6), 6)
+        assert lang.generators == frozenset({from_concurrent(["a"] * 6)})
+
+    def test_tensor_of_cubes_is_their_parallel_composition(self):
+        cubes = [tensor_power(edge_automaton(x), 3) for x in "ab"]
+        lang = language(tensor_hda(*cubes), 6)
+        parts = [language(cube, 6) for cube in cubes]
+        assert is_equal(lang, restrict(par_compose(*parts), 6))
 
     def test_chain_prefix_shapes(self):
         seed = edge_automaton("a", with_start=False, with_accept=True)

@@ -17,6 +17,7 @@ Core claims exercised here:
 from __future__ import annotations
 
 import random
+import sys
 from itertools import combinations
 
 import pytest
@@ -33,6 +34,7 @@ from hdalang import (
     SourceNotMinimal,
     TargetNotMaximal,
     TwoPlusTwoWitness,
+    extensions,
     from_chain,
     from_concurrent,
     glue,
@@ -218,6 +220,19 @@ class TestConstructors:
         p = from_concurrent(["a", "b", "c"])
         assert p.precedence == frozenset()
         assert p.event_order == frozenset({(0, 1), (0, 2), (1, 2)})
+
+    def test_precedence_tables_are_compact(self):
+        # A frozenset built from a list or generator of 5-7 pairs may get a
+        # hash table twice the size of one copied from a set; ipomsets are
+        # kept by the thousand, so the constructors build from sets.
+        chain = validate(
+            {x: "a" for x in "wxyz"}, precedence=[("w", "x"), ("x", "y"), ("y", "z")]
+        )
+        members = extensions(parallel(from_chain("abc"), from_chain("ab")))
+        for p in (from_chain("abcd"), chain, *members):
+            assert sys.getsizeof(p.precedence) == sys.getsizeof(
+                frozenset(set(p.precedence))
+            )
 
 
 # --- subsumption ------------------------------------------------------------
