@@ -18,8 +18,12 @@ finished ones untargeted).  One step function, :func:`_advance`, builds
 it with the composition kernel of :func:`hdalang.ipomset.glue`
 (``ipomset._glued``) from the piece's fields, without building the piece.
 The label of a single path (:func:`ev_label`), the path enumeration and
-the antichain-pruned language extraction all take their steps from one
-table and their labels from that one step.
+the language extraction all take their steps from one table and their
+labels from that one step.  The extraction follows only *sparse* paths,
+in which up-steps and down-steps alternate: every path is equivalent to
+exactly one sparse path, with the same label (Fahrenberg, Johansen, Struth
+& Ziemiański, MSCS 2021).  It prunes the labels it reaches at each cell to
+an antichain.
 
 Paths whose accumulated precedence contradicts the order in which
 concurrent events were started admit no canonical label; they are
@@ -32,6 +36,7 @@ bounded languages are unaffected.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 from typing import Iterator, Mapping, Sequence
 
@@ -225,30 +230,65 @@ def _advance(label: Ipomset, step: Step, word: Word) -> Ipomset:
     )
 
 
-def _moves(carrier: PrecubicalSet) -> dict[str, list[tuple[Step, str, Word]]]:
+@cache
+def _subsets(d: int) -> tuple[tuple[int, int, int, UpStep, DownStep], ...]:
+    """The non-empty position sets of a ``d``-cell, as ``_moves`` takes them.
+
+    Each is ``(mask, rest, low, up, down)``: bit ``p - 1`` of ``mask`` is
+    set for position ``p``, ``low`` is the lowest position, ``rest`` the
+    mask without it, and ``up``/``down`` the steps on those positions,
+    built once and shared by every cell of dimension ``d``.  Sets go by
+    size, then lexicographically, so ``rest`` always comes first.
+    """
+    out = []
+    for r in range(1, d + 1):
+        for positions in combinations(range(1, d + 1), r):
+            mask = sum(1 << (p - 1) for p in positions)
+            out.append((
+                mask, mask & (mask - 1), positions[0],
+                UpStep(frozenset(positions)), DownStep(frozenset(positions)),
+            ))
+    return tuple(out)
+
+
+_Moves = dict[str, list[tuple[Step, str, Word]]]
+
+
+def _step_table(carrier: PrecubicalSet) -> tuple[_Moves, _Moves]:
+    """The up-steps and the down-steps leaving each cell, in :func:`_moves` order.
+
+    The faces of a cell are filled in by position set: the face that
+    deletes the set ``P`` is the elementary face at ``P``'s lowest position
+    of the face that deletes the rest of ``P``.  Deleting the higher
+    positions first leaves the lowest one's index unchanged, so each
+    (cell, set) costs one face lookup per direction.
+    """
+    faces = carrier.faces
+    ups: _Moves = {c: [] for c in carrier.cells}
+    downs: _Moves = {}
+    for high in carrier.sorted_cells():
+        word = carrier.cells[high]
+        lower = [high] * (1 << len(word))
+        upper = lower[:]
+        out = downs[high] = []
+        for mask, rest, low, up, down in _subsets(len(word)):
+            lower[mask] = there = faces[(lower[rest], 0, low)]
+            ups[there].append((up, high, word))
+            upper[mask] = there = faces[(upper[rest], 1, low)]
+            out.append((down, there, word))
+    return ups, downs
+
+
+def _moves(carrier: PrecubicalSet) -> _Moves:
     """For each cell, the steps leaving it: ``(step, next cell, word)``.
 
     ``word`` is that of the step's higher cell, which :func:`_advance` takes.
     Up-steps come first, by upper cell in dimension-then-id order, then
     down-steps; within a cell, position sets go by size, then
-    lexicographically.
+    lexicographically.  Equal steps are one shared object.
     """
-    moves: dict[str, list[tuple[Step, str, Word]]] = {c: [] for c in carrier.cells}
-    downs = []
-    for high in carrier.sorted_cells():
-        word = carrier.word(high)
-        d = len(word)
-        for r in range(1, d + 1):
-            for positions in map(frozenset, combinations(range(1, d + 1), r)):
-                up = UpStep(positions)
-                low = carrier.apply_face(high, lower=positions)
-                moves[low].append((up, high, word))
-                down = DownStep(positions)
-                low = carrier.apply_face(high, upper=positions)
-                downs.append((high, (down, low, word)))
-    for high, move in downs:
-        moves[high].append(move)
-    return moves
+    ups, downs = _step_table(carrier)
+    return {cell: [*ups[cell], *downs[cell]] for cell in carrier.cells}
 
 
 def _fresh(step: Step) -> int:
@@ -287,7 +327,12 @@ def enumerate_accepting_paths(automaton: Hda, max_events: int) -> Iterator[Path]
     starts at least one event and every down-step finishes at least one,
     so between consecutive up-steps the dimension strictly decreases and
     the walk is finite even on cyclic automata.
+
+    Raises:
+        ValueError: ``max_events`` is negative.
     """
+    if max_events < 0:
+        raise ValueError("the event budget must be non-negative")
     carrier = automaton.carrier
     moves = _moves(carrier)
 
@@ -303,46 +348,60 @@ def enumerate_accepting_paths(automaton: Hda, max_events: int) -> Iterator[Path]
                 cells.pop()
                 steps.pop()
 
-    for cell in sorted(automaton.start):
-        active = carrier.dim(cell)
-        if active <= max_events:
-            yield from walk(cell, max_events - active, [cell], [])
+    return (
+        path
+        for cell in sorted(automaton.start)
+        if carrier.dim(cell) <= max_events
+        for path in walk(cell, max_events - carrier.dim(cell), [cell], [])
+    )
 
 
-def _expanded(automaton: Hda, max_events: int) -> Iterator[tuple[str, Ipomset]]:
-    """The states (cell, label) that :func:`language` expands, in that order.
+def _expanded(
+    automaton: Hda, max_events: int
+) -> Iterator[tuple[str, Ipomset, type[Step] | None]]:
+    """The states ``language`` expands, in that order, with how each was reached.
+
+    A state is (cell, label, came): ``came`` is :class:`UpStep` or
+    :class:`DownStep` for the kind of step that reached it, and ``None`` at
+    a start cell.  Only sparse paths are followed: a state reached by an
+    up-step takes only down-steps and one reached by a down-step only
+    up-steps.  A label with no event left to start takes a down-step only
+    into an accepting cell, since no up-step can follow it.
 
     States wait in buckets by their count of precedence pairs, drained in
     increasing order.  An up-step only adds pairs and a down-step keeps
     them, so a state never lands in a bucket already drained, and every
     label with fewer pairs than a popped one has been popped before it.
     A popped label with events left to start is dropped when it refines a
-    label kept at the same cell; otherwise it is kept and expanded.  A
-    label that has used the whole budget can only take down-steps and is
-    expanded untested.  A state is pushed at most once.
+    label kept at the same cell and reached the same way; otherwise it is
+    kept and expanded.  A label that has used the whole budget can only
+    take down-steps and is expanded untested.  A state is pushed at most
+    once.
     """
     carrier = automaton.carrier
-    moves = _moves(carrier)
+    accept = automaton.accept
+    ups, downs = _step_table(carrier)
     # Identities have no precedence pairs.
     start = [
-        (cell, identity(carrier.word(cell)))
+        (cell, identity(carrier.word(cell)), None)
         for cell in sorted(automaton.start)
         if carrier.dim(cell) <= max_events
     ]
     seen = set(start)
     buckets = [start]
-    kept: dict[tuple[str, int, tuple[str, ...]], list[Ipomset]] = {}
+    kept: dict[tuple[str, type[Step] | None, int, tuple[str, ...]], list[Ipomset]] = {}
 
     pairs = 0
     while pairs < len(buckets):
         bucket = buckets[pairs]
         while bucket:
-            cell, label = bucket.pop()
+            state = bucket.pop()
+            cell, label, came = state
             room = max_events - label.size
             if room:
                 # Same cell, same bag of labels and sources: the targets
                 # are the cell's events, so only these can be compared.
-                key = (cell, len(label.sources), tuple(sorted(label.labels)))
+                key = (cell, came, len(label.sources), tuple(sorted(label.labels)))
                 rivals = kept.setdefault(key, [])
                 if any(
                     len(m.precedence) < pairs and subsumes(label, m) is not None
@@ -350,16 +409,25 @@ def _expanded(automaton: Hda, max_events: int) -> Iterator[tuple[str, Ipomset]]:
                 ):
                     continue
                 rivals.append(label)
-            yield cell, label
-            for step, there, word in moves[cell]:
-                if _fresh(step) > room:
-                    continue
-                try:
-                    state = (there, _advance(label, step, word))
-                except InternalOrderCycle:
-                    # No canonical label exists down this branch, nor down
-                    # any extension of it; see the module docstring.
-                    continue
+            yield state
+            after = []
+            if came is not UpStep:
+                for step, there, word in ups[cell]:
+                    if len(step.positions) > room:
+                        continue
+                    try:
+                        after.append((there, _advance(label, step, word), UpStep))
+                    except InternalOrderCycle:
+                        # No canonical label exists down this branch, nor
+                        # down any extension of it; see the module docstring.
+                        continue
+            if came is not DownStep:
+                after += [
+                    (there, _advance(label, step, word), DownStep)
+                    for step, there, word in downs[cell]
+                    if room or there in accept
+                ]
+            for state in after:
                 if state not in seen:
                     seen.add(state)
                     more = len(state[1].precedence)
@@ -372,54 +440,90 @@ def _expanded(automaton: Hda, max_events: int) -> Iterator[tuple[str, Ipomset]]:
 def language(automaton: Hda, max_events: int) -> Language:
     """The automaton's language up to ``max_events`` events.
 
-    Explores pairs of (cell, accumulated label): the label's target
-    interface always lists the current cell's active events in word order,
-    so the pair determines all future behaviour.  Each step builds the next
-    label in closed form with :func:`_advance`, whose count of events
-    before each event is also its acyclicity test; a branch with no
-    canonical label is cut there.  The exploration is pruned to antichains
-    (De Wulf, Doyen, Henzinger & Raskin, CAV 2006): :func:`_expanded`
-    does not expand a label with events left to start if it refines a
-    label kept at the same cell with fewer precedence pairs.  The labels
-    expanded at accepting cells are normalised into a subsumption-closed
-    language with this event bound.
+    Explores states (cell, accumulated label, kind of the step that reached
+    it): the label's target interface always lists the current cell's
+    active events in word order, so cell and label determine all future
+    behaviour.  Each step builds the next label in closed form with
+    :func:`_advance`, whose count of events before each event is also its
+    acyclicity test; a branch with no canonical label is cut there.
+    :func:`_expanded` makes three more cuts:
 
-    Soundness.  Write ``l <= m`` when ``l`` refines ``m``.  The claim is
-    that every state ``(c, l)`` the unpruned exploration reaches has an
-    expanded state ``(c, m)`` with ``l <= m``; since expanded states are
-    reached states and the language is down-closed, both explorations then
-    give the same language.  By induction on the pair count of ``l``, then
-    on the length of the shortest step sequence reaching ``(c, l)``:
+    * Sparse paths only: up- and down-steps alternate.  Two consecutive
+      steps of one kind are one step of that kind on the union of their
+      positions, lifted to the higher cell; it joins the same two cells,
+      gives the same label, and raises :class:`InternalOrderCycle` exactly
+      when the two steps do.  So every path is equivalent to exactly one
+      sparse path, with the same label (Fahrenberg, Johansen, Struth &
+      Ziemiański, *Languages of higher-dimensional automata*, MSCS 2021).
+    * Dead faces: a label with no event left to start takes a down-step
+      only into an accepting cell.  The state it reaches may take only
+      up-steps, and none fits the budget, so it could add nothing but its
+      own label, and that only at an accepting cell.
+    * Antichains (De Wulf, Doyen, Henzinger & Raskin, CAV 2006): a label
+      with events left to start is not expanded if it refines a label with
+      fewer precedence pairs kept at the same cell and reached by the same
+      kind of step, so that it is compared only with labels that take the
+      same steps.
 
-    * ``(c, l)`` is a start state.  Identities have no pairs, so it is
-      popped from the first bucket with no kept label below it: expanded.
-    * ``(c, l)`` is ``_advance(l0, s, w)`` from ``(c0, l0)``, which the
-      induction covers by an expanded ``(c0, m0)``, ``l0 <= m0``.  Both
-      have the same events, so the budget lets ``s`` leave both.
-    * If ``m1 = _advance(m0, s, w)`` is defined, then ``l <= m1``: gluing
-      is monotone under refinement in both arguments (the gluing
-      precongruence of Fahrenberg, Johansen, Struth & Ziemiański, MSCS
-      2021), and here both are glued with the same piece.  ``(c, m1)`` is
-      pushed.  When popped it is expanded, or it refines a kept label
-      ``m2`` at ``c``, which was expanded, and ``l <= m1 <= m2``.
-    * If ``m0``'s step raises :class:`InternalOrderCycle` while ``l0``'s
-      does not, monotonicity says nothing about canonical labels.  The
-      glue of ``m0`` with the piece still exists as a behaviour, with an
-      event order that cannot be linearised with its precedence, and
-      ``l`` refines it.  By the representability fact of the module
-      docstring, that behaviour is implemented by a representable path of
-      the automaton, to the same cell, whose label ``l'`` it refines and
-      that comes earlier in the induction order.  The induction covers
-      ``(c, l')`` by an expanded ``(c, m')``, and ``l <= l' <= m'``.
+    The labels expanded at accepting cells are normalised into a
+    subsumption-closed language with this event bound.
 
-    It is *not* true that ``_advance(m0, s, w)`` is defined whenever
-    ``_advance(l0, s, w)`` is, so the last case is needed.  The
-    representability fact is not proved in this package; tests check the
-    covering directly against the unpruned exploration, including cases of
-    that last kind.
+    Soundness.  Write ``l <= m`` when ``l`` refines ``m``, and call a state
+    ``(c, l)`` of the exploration of all paths *live* when ``l`` has events
+    left to start or ``c`` accepts.  The claim is that every live state is
+    covered: some ``(c, m, k)`` is expanded with ``l <= m``.  Accepting
+    states are live, expanded labels are reached ones and the language is
+    down-closed, so then both explorations give the same language.  The
+    cover need not have been reached by the same kind of step as ``l``;
+    the claim made per kind is false.  By induction on the pair count of
+    ``l``, then on the length of the shortest path reaching ``(c, l)``,
+    which is sparse because merging two steps of one kind would shorten it:
+
+    * A start state has no pairs, so it is expanded.
+    * Covering step.  Let ``(c0, m0, k0)`` be expanded with ``l0 <= m0``,
+      and ``l = _advance(l0, s, w)`` for a step ``s`` from ``c0`` to
+      ``c``.  Both labels have the same events,
+      so the budget lets ``s`` leave both.  If ``k0`` allows ``s``, take
+      ``t = s`` from ``m0``.  Otherwise ``k0`` is the kind of ``s``, and
+      ``(c0, m0, k0)`` was pushed by a step ``s0`` of that kind from an
+      expanded ``(c1, m1, k1)``; take for ``t`` the merged step of ``s0``
+      and ``s`` from ``m1``, which ``k1`` allows.  If ``t`` gives a label
+      ``m``, then ``l <= m``: gluing is monotone under refinement in both
+      arguments (the gluing precongruence of the paper above), and both
+      sides glue the same pieces.  ``(c, m)`` is pushed unless it is a dead
+      face, which it is only when ``(c, l)`` is not live.  When popped it is
+      expanded, or it refines a kept label at ``c``, which was expanded.
+    * If ``t`` raises :class:`InternalOrderCycle`, monotonicity says
+      nothing about canonical labels.  The glue of ``m0`` (or ``m1``) with
+      the pieces still exists as a behaviour whose event order cannot be
+      linearised with its precedence, and ``l`` refines it.  By the
+      representability fact of the module docstring, a representable path
+      of the automaton to ``c`` implements that behaviour, with a label
+      ``l'`` that it refines and that has fewer pairs.  ``(c, l')`` is live
+      as ``(c, l)`` is, so the induction covers it, and ``l <= l' <= m'``.
+    * The path ends with ``s`` from ``(c0, l0)``.  If ``(c0, l0)`` is live
+      or a start state, it is covered and the covering step applies.
+      Otherwise ``l0`` has used the whole budget, so ``s`` is a down-step,
+      and the sparse path reaches ``(c0, l0)`` by an up-step from a state
+      with events left to start, which the induction covers.  The
+      covering step for that up-step gives a label at ``c0`` with no room;
+      such a label is expanded untested, and it was reached by an up-step,
+      so the covering step applies to ``s`` from it.  If either step
+      raises, the case above applies to the route through both.
+
+    It is *not* true that a step from ``m0`` is defined whenever the one
+    from ``l0`` is, so the representability case is needed.  Neither that
+    fact nor the merged-step fact is proved in this package.  Tests check
+    the merged-step fact on every pair of steps from the states of small
+    automata, and check the covering itself against the exploration of
+    all paths, including steps where only the representability case
+    applies.
+
+    Raises:
+        ValueError: ``max_events`` is negative (from :func:`normalize`).
     """
     found = {
-        label for cell, label in _expanded(automaton, max_events)
+        label for cell, label, _ in _expanded(automaton, max_events)
         if cell in automaton.accept
     }
     return normalize(found, event_bound=max_events)
@@ -506,6 +610,8 @@ def tensor_power(x: Hda, n: int) -> Hda:
 
 def replicate(x: Hda, n: int) -> Hda:
     """Zero to ``n`` parallel copies of ``x``, as a coproduct of tensor powers."""
+    if n < 0:
+        raise ValueError("replication needs a non-negative count")
     return coproduct_hda([tensor_power(x, k) for k in range(n + 1)])
 
 

@@ -116,7 +116,12 @@ def normalize(ipomsets: Iterable[Ipomset], event_bound: int | None = None) -> La
     them, and the pass above drops the rest.  Growing those orders is
     still exponential in the ipomset's concurrency; callers composing
     large generators should bound the result first where possible.
+
+    Raises:
+        ValueError: ``event_bound`` is negative.
     """
+    if event_bound is not None and event_bound < 0:
+        raise ValueError("the event bound must be non-negative")
     flat: set[Ipomset] = set()
     for p in set(ipomsets):
         if is_interval(p):
@@ -224,7 +229,12 @@ def restrict(lang: Language, max_events: int) -> Language:
 
     Subsumption preserves event counts, so small members of the ideal are
     generated by small generators and the restriction is exact.
+
+    Raises:
+        ValueError: ``max_events`` is negative.
     """
+    if max_events < 0:
+        raise ValueError("the event bound must be non-negative")
     return _unchecked_language(
         frozenset(g for g in lang.generators if g.size <= max_events), max_events
     )

@@ -5,7 +5,8 @@ implementation under test: subsumption and its least witness by brute
 force over all event bijections, interval recognition by searching for a
 forbidden suborder, principal ideals by filtering every strict order,
 sequential composition by naive relation-building over tagged event
-names, colimit classes by merging sets, and exhaustive enumeration of
+names, step tables by applying one elementary face at a time, colimit
+classes by merging sets, and exhaustive enumeration of
 every canonical ipomset up to a size.  Random structures are always drawn
 from a caller-provided seeded generator so failures replay.
 """
@@ -16,7 +17,7 @@ import random
 from functools import lru_cache
 from itertools import combinations, permutations, product
 
-from hdalang.hda import Hda, Step, UpStep, enumerate_accepting_paths
+from hdalang.hda import DownStep, Hda, Step, UpStep, enumerate_accepting_paths
 from hdalang.ipomset import Ipomset, SequentialMismatch, validate
 from hdalang.precubical import PrecubicalSet
 
@@ -354,6 +355,33 @@ def step_piece(word: tuple[str, ...], step: Step) -> Ipomset:
     if isinstance(step, UpStep):
         return Ipomset(word, frozenset(), rest, every)
     return Ipomset(word, frozenset(), every, rest)
+
+
+def oracle_moves(carrier: PrecubicalSet) -> dict[str, list[tuple[Step, str, tuple[str, ...]]]]:
+    """The steps leaving each cell, in the order of ``hda._moves``.
+
+    Each face is reached from the higher cell by one elementary face of
+    ``carrier.faces`` per deleted position, the highest position first so
+    that the lower ones keep their indices.  Up-steps come first, by upper
+    cell in dimension-then-id order, then down-steps; within a cell,
+    position sets go by size, then lexicographically.
+    """
+
+    def face(cell: str, nu: int, positions: tuple[int, ...]) -> str:
+        for position in reversed(positions):
+            cell = carrier.faces[(cell, nu, position)]
+        return cell
+
+    ups: dict[str, list] = {cell: [] for cell in carrier.cells}
+    downs: dict[str, list] = {cell: [] for cell in carrier.cells}
+    for high in sorted(carrier.cells, key=lambda c: (len(carrier.cells[c]), c)):
+        word = carrier.cells[high]
+        for size in range(1, len(word) + 1):
+            for positions in combinations(range(1, len(word) + 1), size):
+                chosen = frozenset(positions)
+                ups[face(high, 0, positions)].append((UpStep(chosen), high, word))
+                downs[high].append((DownStep(chosen), face(high, 1, positions), word))
+    return {cell: ups[cell] + downs[cell] for cell in carrier.cells}
 
 
 def oracle_colimit_names(

@@ -3,7 +3,8 @@
 Core claims exercised here:
 
 * ``Language`` holds an antichain of interval generators and rejects
-  non-interval input.
+  non-interval input; ``normalize`` and ``restrict`` refuse a negative
+  event bound.
 * ``normalize`` drops subsumed members, keeping the maxima a brute-force
   scan finds whatever the input order, with one ``subsumes`` call per
   member against the generators kept so far; ``contains`` answers
@@ -104,6 +105,11 @@ class TestLanguageConstruction:
     def test_event_bound_is_recorded(self):
         lang = normalize([point("a")], event_bound=3)
         assert lang.event_bound == 3
+
+    def test_normalize_refuses_a_negative_event_bound(self):
+        # A document with a negative eventBound is refused by the parser.
+        with pytest.raises(ValueError):
+            normalize([point("a")], event_bound=-1)
 
 
 class TestNormalize:
@@ -348,6 +354,10 @@ class TestSetOperations:
         got = restrict(lang, 2)
         assert got.generators == frozenset({point("a")})
         assert got.event_bound == 2
+
+    def test_restrict_refuses_a_negative_event_bound(self):
+        with pytest.raises(ValueError):
+            restrict(normalize([point("a")]), -1)
 
     def test_subset_and_equality(self):
         small = normalize([from_chain(["a", "b"])])
