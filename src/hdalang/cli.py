@@ -143,24 +143,10 @@ def _read(path: str) -> str:
         return handle.read()
 
 
-def _load_ipomset(path: str) -> Ipomset:
+def _load(path: str, kind: type, name: str) -> Any:
     value = parse_document(_read(path))
-    if not isinstance(value, Ipomset):
-        raise DocumentError(f"{path}: expected an ipomset document")
-    return value
-
-
-def _load_language(path: str) -> Language:
-    value = parse_document(_read(path))
-    if not isinstance(value, Language):
-        raise DocumentError(f"{path}: expected a language document")
-    return value
-
-
-def _load_hda(path: str) -> Hda:
-    value = parse_document(_read(path))
-    if not isinstance(value, Hda):
-        raise DocumentError(f"{path}: expected an hda document")
+    if not isinstance(value, kind):
+        raise DocumentError(f"{path}: expected {name} document")
     return value
 
 
@@ -202,43 +188,41 @@ def _run(args: argparse.Namespace) -> str:
     if verb == "validate":
         return _run_validate(args)
     if verb == "language":
-        lang = hda_language(_load_hda(args.file), args.max_events)
+        lang = hda_language(_load(args.file, Hda, "an hda"), args.max_events)
         return serialize(language_to_doc(lang))
     if verb == "expand":
-        members = expand(_load_language(args.file), args.max_events)
+        members = expand(_load(args.file, Language, "a language"), args.max_events)
         return serialize(ipomset_list_to_doc(sorted(members, key=repr)))
     if verb == "tensor":
-        product = tensor_hda(_load_hda(args.file), _load_hda(args.other))
-        return _emit_hda(product, args)
+        left = _load(args.file, Hda, "an hda")
+        return _emit_hda(tensor_hda(left, _load(args.other, Hda, "an hda")), args)
     if verb == "coproduct":
-        total = coproduct_hda([_load_hda(f) for f in args.file])
+        total = coproduct_hda([_load(f, Hda, "an hda") for f in args.file])
         return _emit_hda(total, args)
     if verb == "pushout":
-        value = parse_document(_read(args.file))
-        if not (isinstance(value, tuple) and len(value) == 5):
-            raise DocumentError(f"{args.file}: expected a span document")
-        apex, left, right, into_left, into_right = value
+        apex, left, right, into_left, into_right = _load(args.file, tuple, "a span")
         return _emit_hda(pushout_hda(apex, left, right, into_left, into_right), args)
     if verb == "replicate":
-        return _emit_hda(replicate(_load_hda(args.file), args.n), args)
+        return _emit_hda(replicate(_load(args.file, Hda, "an hda"), args.n), args)
     if verb == "chain":
         stages, _ = replication_chain_prefix(
-            _load_hda(args.file), args.n, base=args.base, far=args.far
+            _load(args.file, Hda, "an hda"), args.n, base=args.base, far=args.far
         )
         return _emit_hda(stages[-1], args)
     if verb == "glue":
-        return serialize(
-            ipomset_to_doc(glue(_load_ipomset(args.file), _load_ipomset(args.other)))
-        )
+        first = _load(args.file, Ipomset, "an ipomset")
+        second = _load(args.other, Ipomset, "an ipomset")
+        return serialize(ipomset_to_doc(glue(first, second)))
     if verb == "par":
-        return serialize(
-            ipomset_to_doc(parallel(_load_ipomset(args.file), _load_ipomset(args.other)))
-        )
+        first = _load(args.file, Ipomset, "an ipomset")
+        second = _load(args.other, Ipomset, "an ipomset")
+        return serialize(ipomset_to_doc(parallel(first, second)))
     if verb == "closure":
-        lang = par_closure_bounded(_load_language(args.file), args.n)
+        lang = par_closure_bounded(_load(args.file, Language, "a language"), args.n)
         return serialize(language_to_doc(lang))
     if verb == "subsume":
-        witness = subsumes(_load_ipomset(args.file), _load_ipomset(args.other))
+        first = _load(args.file, Ipomset, "an ipomset")
+        witness = subsumes(first, _load(args.other, Ipomset, "an ipomset"))
         record: dict[str, Any] = {
             "type": "subsumption",
             "subsumes": witness is not None,
@@ -247,7 +231,7 @@ def _run(args: argparse.Namespace) -> str:
             record["witness"] = list(witness)
         return serialize(record)
     if verb == "interval":
-        rep = interval_representation(_load_ipomset(args.file))
+        rep = interval_representation(_load(args.file, Ipomset, "an ipomset"))
         if isinstance(rep, IntervalRepresentation):
             return serialize(
                 {
@@ -268,7 +252,7 @@ def _run(args: argparse.Namespace) -> str:
             }
         )
     if verb == "dot":
-        return to_dot(_load_hda(args.file))
+        return to_dot(_load(args.file, Hda, "an hda"))
     raise AssertionError(f"unhandled verb {verb!r}")
 
 

@@ -232,7 +232,7 @@ def _advance(label: Ipomset, step: Step, word: Word) -> Ipomset:
 
 @cache
 def _subsets(d: int) -> tuple[tuple[int, int, int, UpStep, DownStep], ...]:
-    """The non-empty position sets of a ``d``-cell, as ``_moves`` takes them.
+    """The non-empty position sets of a ``d``-cell, as ``_step_table`` takes them.
 
     Each is ``(mask, rest, low, up, down)``: bit ``p - 1`` of ``mask`` is
     set for position ``p``, ``low`` is the lowest position, ``rest`` the
@@ -255,13 +255,16 @@ _Moves = dict[str, list[tuple[Step, str, Word]]]
 
 
 def _step_table(carrier: PrecubicalSet) -> tuple[_Moves, _Moves]:
-    """The up-steps and the down-steps leaving each cell, in :func:`_moves` order.
+    """The up- and down-steps leaving each cell: ``(step, next cell, word)``.
 
-    The faces of a cell are filled in by position set: the face that
-    deletes the set ``P`` is the elementary face at ``P``'s lowest position
-    of the face that deletes the rest of ``P``.  Deleting the higher
-    positions first leaves the lowest one's index unchanged, so each
-    (cell, set) costs one face lookup per direction.
+    ``word`` is that of the step's higher cell, which :func:`_advance` takes.
+    Up-steps go by upper cell in dimension-then-id order; within a cell,
+    position sets go by size, then lexicographically.  Equal steps are one
+    shared object.  The face that deletes the set ``P`` is the elementary
+    face at ``P``'s lowest position of the face that deletes the rest of
+    ``P``.  Deleting the higher positions first leaves the lowest one's
+    index unchanged, so each (cell, set) costs one face lookup per
+    direction.
     """
     faces = carrier.faces
     ups: _Moves = {c: [] for c in carrier.cells}
@@ -277,23 +280,6 @@ def _step_table(carrier: PrecubicalSet) -> tuple[_Moves, _Moves]:
             upper[mask] = there = faces[(upper[rest], 1, low)]
             out.append((down, there, word))
     return ups, downs
-
-
-def _moves(carrier: PrecubicalSet) -> _Moves:
-    """For each cell, the steps leaving it: ``(step, next cell, word)``.
-
-    ``word`` is that of the step's higher cell, which :func:`_advance` takes.
-    Up-steps come first, by upper cell in dimension-then-id order, then
-    down-steps; within a cell, position sets go by size, then
-    lexicographically.  Equal steps are one shared object.
-    """
-    ups, downs = _step_table(carrier)
-    return {cell: [*ups[cell], *downs[cell]] for cell in carrier.cells}
-
-
-def _fresh(step: Step) -> int:
-    """How many events ``step`` starts."""
-    return len(step.positions) if isinstance(step, UpStep) else 0
 
 
 def ev_label(automaton: Hda, path: Path) -> Ipomset:
@@ -324,9 +310,9 @@ def enumerate_accepting_paths(automaton: Hda, max_events: int) -> Iterator[Path]
 
     Paths begin in a start cell and end in an accept cell; the events
     already active at the start count against the budget.  Every up-step
-    starts at least one event and every down-step finishes at least one,
-    so between consecutive up-steps the dimension strictly decreases and
-    the walk is finite even on cyclic automata.
+    spends budget, and every down-step finishes an event, so a run of
+    down-steps is no longer than the cell's dimension and the walk is
+    finite even on cyclic automata.
 
     Raises:
         ValueError: ``max_events`` is negative.
@@ -334,13 +320,13 @@ def enumerate_accepting_paths(automaton: Hda, max_events: int) -> Iterator[Path]
     if max_events < 0:
         raise ValueError("the event budget must be non-negative")
     carrier = automaton.carrier
-    moves = _moves(carrier)
+    ups, downs = _step_table(carrier)
 
     def walk(cell: str, budget: int, cells: list[str], steps: list[Step]) -> Iterator[Path]:
         if cell in automaton.accept:
             yield Path(tuple(cells), tuple(steps))
-        for step, there, _ in moves[cell]:
-            fresh = _fresh(step)
+        for step, there, _ in (*ups[cell], *downs[cell]):
+            fresh = len(step.positions) if isinstance(step, UpStep) else 0
             if fresh <= budget:
                 cells.append(there)
                 steps.append(step)
@@ -373,10 +359,9 @@ def _expanded(
     them, so a state never lands in a bucket already drained, and every
     label with fewer pairs than a popped one has been popped before it.
     A popped label with events left to start is dropped when it refines a
-    label kept at the same cell and reached the same way; otherwise it is
-    kept and expanded.  A label that has used the whole budget can only
-    take down-steps and is expanded untested.  A state is pushed at most
-    once.
+    label kept at the same cell; otherwise it is kept and expanded.  A
+    label that has used the whole budget can only take down-steps and is
+    expanded untested.  A state is pushed at most once.
     """
     carrier = automaton.carrier
     accept = automaton.accept
@@ -389,7 +374,7 @@ def _expanded(
     ]
     seen = set(start)
     buckets = [start]
-    kept: dict[tuple[str, type[Step] | None, int, tuple[str, ...]], list[Ipomset]] = {}
+    kept: dict[tuple[str, int, tuple[str, ...]], list[Ipomset]] = {}
 
     pairs = 0
     while pairs < len(buckets):
@@ -401,7 +386,7 @@ def _expanded(
             if room:
                 # Same cell, same bag of labels and sources: the targets
                 # are the cell's events, so only these can be compared.
-                key = (cell, came, len(label.sources), tuple(sorted(label.labels)))
+                key = (cell, len(label.sources), tuple(sorted(label.labels)))
                 rivals = kept.setdefault(key, [])
                 if any(
                     len(m.precedence) < pairs and subsumes(label, m) is not None
@@ -461,9 +446,7 @@ def language(automaton: Hda, max_events: int) -> Language:
       own label, and that only at an accepting cell.
     * Antichains (De Wulf, Doyen, Henzinger & Raskin, CAV 2006): a label
       with events left to start is not expanded if it refines a label with
-      fewer precedence pairs kept at the same cell and reached by the same
-      kind of step, so that it is compared only with labels that take the
-      same steps.
+      fewer precedence pairs kept at the same cell.
 
     The labels expanded at accepting cells are normalised into a
     subsumption-closed language with this event bound.

@@ -5,10 +5,11 @@ implementation under test: subsumption and its least witness by brute
 force over all event bijections, interval recognition by searching for a
 forbidden suborder, principal ideals by filtering every strict order,
 sequential composition by naive relation-building over tagged event
-names, step tables by applying one elementary face at a time, colimit
-classes by merging sets, and exhaustive enumeration of
-every canonical ipomset up to a size.  Random structures are always drawn
-from a caller-provided seeded generator so failures replay.
+names, step tables by applying one elementary face at a time, accepting
+paths by a walk over that step table, colimit classes by merging sets,
+and exhaustive enumeration of every canonical ipomset up to a size.
+Random structures are always drawn from a caller-provided seeded
+generator so failures replay.
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 from itertools import combinations, permutations, product
+from typing import Iterator
 
-from hdalang.hda import DownStep, Hda, Step, UpStep, enumerate_accepting_paths
+from hdalang.hda import DownStep, Hda, Path, Step, UpStep
 from hdalang.ipomset import Ipomset, SequentialMismatch, validate
 from hdalang.precubical import PrecubicalSet
 
@@ -334,7 +336,7 @@ def path_label_language(automaton: Hda, max_events: int) -> set[Ipomset]:
     """
     carrier = automaton.carrier
     out: set[Ipomset] = set()
-    for path in enumerate_accepting_paths(automaton, max_events):
+    for path in oracle_accepting_paths(automaton, max_events):
         word = carrier.word(path.first)
         every = frozenset(range(len(word)))
         label: Ipomset | None = Ipomset(word, frozenset(), every, every)
@@ -357,8 +359,31 @@ def step_piece(word: tuple[str, ...], step: Step) -> Ipomset:
     return Ipomset(word, frozenset(), every, rest)
 
 
+def oracle_accepting_paths(automaton: Hda, max_events: int) -> Iterator[Path]:
+    """Every accepting path that starts at most ``max_events`` events.
+
+    A depth-first walk over :func:`oracle_moves` from each start cell in id
+    order; the start cell's events count against the budget and each
+    up-step spends one per position it starts.
+    """
+    carrier = automaton.carrier
+    moves = oracle_moves(carrier)
+
+    def walk(cells: list[str], steps: list[Step], budget: int) -> Iterator[Path]:
+        if cells[-1] in automaton.accept:
+            yield Path(tuple(cells), tuple(steps))
+        for step, there, _ in moves[cells[-1]]:
+            spent = len(step.positions) if isinstance(step, UpStep) else 0
+            if spent <= budget:
+                yield from walk(cells + [there], steps + [step], budget - spent)
+
+    for cell in sorted(automaton.start):
+        if len(carrier.cells[cell]) <= max_events:
+            yield from walk([cell], [], max_events - len(carrier.cells[cell]))
+
+
 def oracle_moves(carrier: PrecubicalSet) -> dict[str, list[tuple[Step, str, tuple[str, ...]]]]:
-    """The steps leaving each cell, in the order of ``hda._moves``.
+    """The steps leaving each cell: ``(step, next cell, higher cell's word)``.
 
     Each face is reached from the higher cell by one elementary face of
     ``carrier.faces`` per deleted position, the highest position first so

@@ -330,6 +330,19 @@ class TestCliFailures:
         p = write_doc(tmp_path, "p.json", ipomset_to_doc(point("a")))
         assert main(["language", p, "--max-events", "2"]) == 2
 
+    def test_expand_of_an_ipomset_is_exit_2(self, tmp_path, capsys):
+        p = write_doc(tmp_path, "p.json", ipomset_to_doc(point("a")))
+        assert main(["expand", p, "--max-events", "2"]) == 2
+        assert f"{p}: expected a language document" in capsys.readouterr().err
+
+    def test_glue_of_an_automaton_is_exit_2(self, tmp_path, capsys):
+        p = write_doc(tmp_path, "p.json", ipomset_to_doc(point("a")))
+        x = write_doc(tmp_path, "x.json", hda_to_doc(edge_automaton("a")))
+        assert main(["glue", p, x]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{x}: expected an ipomset document" in captured.err
+
     def test_domain_error_is_exit_1_with_record(self, tmp_path, capsys):
         doc = {
             "type": "ipomset",

@@ -73,10 +73,11 @@ from hdalang import (
     validate_hda_map,
     validate_path,
 )
-from hdalang.hda import Step, _advance, _expanded, _moves
+from hdalang.hda import Step, _advance, _expanded, _step_table
 from hdalang.precubical import Word
 from hdalang.samples import edge_automaton, grid_automaton, pushout_span
 from oracles import (
+    oracle_accepting_paths,
     oracle_glue,
     oracle_moves,
     oracle_subsumes,
@@ -195,6 +196,17 @@ class TestPaths:
             tail = Path(cells=run.cells[cut:], steps=run.steps[cut:])
             assert glue(ev_label(x, head), ev_label(x, tail)) == ev_label(x, run)
 
+    def test_enumeration_matches_the_oracle_walk(self):
+        cases = [(cube_automaton(), 3), (grid_automaton(), 4)]
+        rnd = random.Random(3308)
+        cases += [(random_hda(rnd), 4) for _ in range(20)]
+        total = 0
+        for automaton, bound in cases:
+            paths = list(enumerate_accepting_paths(automaton, bound))
+            assert paths == list(oracle_accepting_paths(automaton, bound))
+            total += len(paths)
+        assert total > 300
+
 
 class TestStepTable:
     def test_matches_the_face_by_face_oracle(self):
@@ -203,12 +215,15 @@ class TestStepTable:
         automata += [random_hda(rnd) for _ in range(40)]
         automata += [tensor_hda(random_hda(rnd), random_hda(rnd)) for _ in range(8)]
         for automaton in automata:
-            assert _moves(automaton.carrier) == oracle_moves(automaton.carrier)
+            carrier = automaton.carrier
+            ups, downs = _step_table(carrier)
+            assert {c: ups[c] + downs[c] for c in carrier.cells} == oracle_moves(carrier)
 
     def test_steps_are_shared(self):
-        moves = _moves(tensor_power(edge_automaton("a"), 3).carrier)
+        ups, downs = _step_table(tensor_power(edge_automaton("a"), 3).carrier)
         steps = {}
-        for step, _, word in (move for out in moves.values() for move in out):
+        moves = [move for table in (ups, downs) for out in table.values() for move in out]
+        for step, _, word in moves:
             key = (type(step), step.positions, len(word))
             assert steps.setdefault(key, step) is step
 
@@ -226,7 +241,7 @@ class TestAdvance:
         the states reached: the unpruned exploration, with no antichain.
         """
         carrier = automaton.carrier
-        moves = _moves(carrier)
+        moves = oracle_moves(carrier)
         stack = [
             (cell, identity(carrier.word(cell)))
             for cell in sorted(automaton.start)
@@ -301,7 +316,7 @@ class TestAntichainPruning:
         at: dict[str, list[Ipomset]] = {}
         for cell, label in states:
             at.setdefault(cell, []).append(label)
-        moves = _moves(automaton.carrier)
+        moves = oracle_moves(automaton.carrier)
         knots = exempt = 0
         for cell, label in reached - states:
             # The kernel finds the covering label; the oracle confirms it.
@@ -345,6 +360,24 @@ class TestAntichainPruning:
         # step can knot where the dominated label's step does not.
         assert knots > 0
 
+    @staticmethod
+    def refining_pairs(automaton: Hda, max_events: int) -> int:
+        """Count strictly refining pairs among the labels with room at each cell."""
+        at: dict[str, list[Ipomset]] = {}
+        for cell, label, _ in _expanded(automaton, max_events):
+            if label.size < max_events:
+                at.setdefault(cell, []).append(label)
+        return sum(
+            low != high and oracle_subsumes(low, high)
+            for labels in at.values() for low in labels for high in labels
+        )
+
+    def test_labels_with_room_form_one_antichain_per_cell(self):
+        assert self.refining_pairs(tensor_power(edge_automaton("a"), 4), 4) == 0
+        assert self.refining_pairs(grid_automaton(), 4) == 0
+        rnd = random.Random(3304)
+        assert sum(self.refining_pairs(random_hda(rnd), 4) for _ in range(20)) == 0
+
     def test_prunes_dominated_labels(self):
         cube = tensor_power(edge_automaton("a"), 4)
         _, _, reached = TestAdvance.check(cube, 4)
@@ -378,7 +411,7 @@ class TestSparsePaths:
         Returns how many pairs were merged and how many of them raised.
         """
         _, _, reached = TestAdvance.check(automaton, max_events)
-        moves = _moves(automaton.carrier)
+        moves = oracle_moves(automaton.carrier)
         merged = knots = 0
         for cell, label in reached:
             for first, middle, first_word in moves[cell]:
