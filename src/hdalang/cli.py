@@ -7,8 +7,9 @@ Exit codes:
     0  success;
     1  a domain invariant failed -- a machine-readable JSON record naming
        the violated invariant is printed instead of a result;
-    2  unusable input: unknown flags, unreadable files, or documents that
-       do not parse.
+    2  unusable input: unknown flags, unreadable or non-UTF-8 files,
+       documents that do not parse, or an ``--out`` path that cannot be
+       written.
 
 Examples::
 
@@ -24,29 +25,30 @@ Examples::
 Verbs that output an automaton accept ``--format dot`` to render the
 result for Graphviz instead of printing the JSON document; ``--format
 text`` (the default) always prints the document.  The ``dot`` verb is the
-shorthand for ``validate --format dot``.
+shorthand for ``validate --format dot``, except on a document that is not
+an hda: both exit 2, but ``dot`` says ``<file>: expected an hda document``
+and ``validate --format dot`` says ``<file>: --format dot needs an hda
+document``.
+
+Each verb is one row of ``_VERBS``; the parser is built from that table on
+the first call of :func:`main` and reused after.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
-from typing import Any, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 from hdalang.formats import (
+    _KINDS,
+    Doc,
     DocumentError,
-    hda_from_doc,
-    hda_to_doc,
-    ipomset_from_doc,
+    _to_doc,
     ipomset_list_to_doc,
-    ipomset_to_doc,
-    language_from_doc,
-    language_to_doc,
     parse_document,
-    precubical_to_doc,
     serialize,
-    span_from_doc,
-    span_to_doc,
     to_dot,
 )
 from hdalang.hda import (
@@ -67,14 +69,14 @@ from hdalang.ipomset import (
     parallel,
     subsumes,
 )
-from hdalang.language import Language, NotInterval, expand, par_closure_bounded
-from hdalang.precubical import PrecubicalError, PrecubicalInvariant, PrecubicalSet
+from hdalang.language import NotInterval, expand, par_closure_bounded
+from hdalang.precubical import PrecubicalError, PrecubicalInvariant
 
 
 class _DomainFailure(Exception):
     """Internal: a verb failed a domain check with a prepared record."""
 
-    def __init__(self, record: dict[str, Any]):
+    def __init__(self, record: Doc):
         super().__init__(record.get("error", "domain failure"))
         self.record = record
 
@@ -86,18 +88,101 @@ def _count(text: str) -> int:
     return int(text)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# --- the verbs -----------------------------------------------------------------------
+
+
+def _subsume(args: argparse.Namespace, first: Ipomset, second: Ipomset) -> Doc:
+    witness = subsumes(first, second)
+    record: Doc = {"type": "subsumption", "subsumes": witness is not None}
+    if witness is not None:
+        record["witness"] = list(witness)
+    return record
+
+
+def _interval(args: argparse.Namespace, p: Ipomset) -> Doc:
+    rep = interval_representation(p)
+    if isinstance(rep, IntervalRepresentation):
+        begin, end = list(rep.begin), list(rep.end)
+        return {"type": "intervalRepresentation", "begin": begin, "end": end}
+    witness = {
+        "firstLow": rep.first_low,
+        "firstHigh": rep.first_high,
+        "secondLow": rep.second_low,
+        "secondHigh": rep.second_high,
+    }
+    raise _DomainFailure({"error": "NotInterval", "witness": witness})
+
+
+class _Verb(NamedTuple):
+    """One verb of the command line.
+
+    ``run`` takes the parsed arguments and one loaded value per input file,
+    and returns an :class:`Hda`, any other value or document to serialize,
+    or finished DOT text.
+    """
+
+    help: str
+    kind: str | None  # the kind of every input document; None takes any kind
+    files: int | str  # 1, 2 or "+"
+    run: Callable[..., Any]
+    flags: tuple[str, ...] = ()  # names in _FLAGS
+    automaton: bool = False  # outputs an automaton, so --format dot applies
+
+
+_FLAGS: dict[str, dict[str, Any]] = {
+    "--max-events": {"type": _count, "required": True},
+    "--n": {"type": _count, "required": True},
+    "--base": {"required": True, "help": "vertex acting as the idle state"},
+    "--far": {"required": True, "help": "vertex whose powers mark acceptance"},
+}
+
+_VERBS: dict[str, _Verb] = {
+    "validate": _Verb("check any document and print its canonical form", None, 1,
+                      lambda args, value: value, automaton=True),
+    "language": _Verb("bounded language of an automaton", "hda", 1,
+                      lambda args, a: hda_language(a, args.max_events), ("--max-events",)),
+    "expand": _Verb("materialise a language up to an event budget", "language", 1,
+                    lambda args, lang: ipomset_list_to_doc(expand(lang, args.max_events)),
+                    ("--max-events",)),
+    "tensor": _Verb("parallel product of two automata", "hda", 2,
+                    lambda args, a, b: tensor_hda(a, b), automaton=True),
+    "coproduct": _Verb("disjoint union of automata", "hda", "+",
+                       lambda args, *parts: coproduct_hda(parts), automaton=True),
+    "pushout": _Verb("glue the two sides of a span document", "span", 1,
+                     lambda args, span: pushout_hda(*span), automaton=True),
+    "replicate": _Verb("zero to n parallel copies of an automaton", "hda", 1,
+                       lambda args, a: replicate(a, args.n), ("--n",), automaton=True),
+    "chain": _Verb("n-th stage of the iterated-pushout replication chain", "hda", 1,
+                   lambda args, a: replication_chain_prefix(
+                       a, args.n, base=args.base, far=args.far)[0][-1],
+                   ("--n", "--base", "--far"), automaton=True),
+    "glue": _Verb("sequential composition of two ipomsets", "ipomset", 2,
+                  lambda args, p, q: glue(p, q)),
+    "par": _Verb("parallel composition of two ipomsets", "ipomset", 2,
+                 lambda args, p, q: parallel(p, q)),
+    "closure": _Verb("bounded parallel closure of a language", "language", 1,
+                     lambda args, lang: par_closure_bounded(lang, args.n), ("--n",)),
+    "subsume": _Verb("does the first ipomset refine the second?", "ipomset", 2, _subsume),
+    "interval": _Verb("interval representation of an ipomset's precedence", "ipomset", 1,
+                      _interval),
+    "dot": _Verb("render an automaton document for Graphviz", "hda", 1,
+                 lambda args, a: to_dot(a), automaton=True),
+}
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argparse parser of every verb in :data:`_VERBS`, built on first use."""
     parser = argparse.ArgumentParser(
         prog="hdalang",
         description="Languages of higher-dimensional automata.",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    def add(name: str, help_text: str, files: int = 1) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_text)
-        if files == 1:
+    for name, verb in _VERBS.items():
+        p = sub.add_parser(name, help=verb.help)
+        if verb.files == 1:
             p.add_argument("file", help="input document")
-        elif files == 2:
+        elif verb.files == 2:
             p.add_argument("file", help="first input document")
             p.add_argument("other", help="second input document")
         else:
@@ -109,183 +194,70 @@ def _build_parser() -> argparse.ArgumentParser:
             default="text",
             help="output format; dot requires a verb that yields an automaton",
         )
-        return p
-
-    add("validate", "check any document and print its canonical form")
-    p = add("language", "bounded language of an automaton")
-    p.add_argument("--max-events", type=_count, required=True)
-    p = add("expand", "materialise a language up to an event budget")
-    p.add_argument("--max-events", type=_count, required=True)
-    add("tensor", "parallel product of two automata", files=2)
-    add("coproduct", "disjoint union of automata", files=-1)
-    add("pushout", "glue the two sides of a span document")
-    p = add("replicate", "zero to n parallel copies of an automaton")
-    p.add_argument("--n", type=_count, required=True)
-    p = add("chain", "n-th stage of the iterated-pushout replication chain")
-    p.add_argument("--n", type=_count, required=True)
-    p.add_argument("--base", required=True, help="vertex acting as the idle state")
-    p.add_argument("--far", required=True, help="vertex whose powers mark acceptance")
-    add("glue", "sequential composition of two ipomsets", files=2)
-    add("par", "parallel composition of two ipomsets", files=2)
-    p = add("closure", "bounded parallel closure of a language")
-    p.add_argument("--n", type=_count, required=True)
-    add("subsume", "does the first ipomset refine the second?", files=2)
-    add("interval", "interval representation of an ipomset's precedence")
-    add("dot", "render an automaton document for Graphviz")
+        for flag in verb.flags:
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
-# --- input helpers -----------------------------------------------------------------
+# --- load, run, emit -------------------------------------------------------------------
 
 
-def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
-
-
-def _load(path: str, kind: type, name: str) -> Any:
-    value = parse_document(_read(path))
-    if not isinstance(value, kind):
-        raise DocumentError(f"{path}: expected {name} document")
+def _load(path: str, kind: str | None) -> Any:
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except UnicodeDecodeError as exc:
+        raise DocumentError(f"{path}: not UTF-8 text: {exc}") from exc
+    value = parse_document(text)
+    if kind is not None and not isinstance(value, _KINDS[kind].type):
+        article = "an" if kind in ("hda", "ipomset") else "a"
+        raise DocumentError(f"{path}: expected {article} {kind} document")
     return value
 
 
-# --- verb implementations -------------------------------------------------------------
-
-
-def _emit_hda(automaton: Hda, args: argparse.Namespace) -> str:
-    if args.format == "dot":
-        return to_dot(automaton)
-    return serialize(hda_to_doc(automaton))
-
-
-def _run_validate(args: argparse.Namespace) -> str:
-    value = parse_document(_read(args.file))
-    if isinstance(value, Hda):
-        return _emit_hda(value, args)
-    if args.format == "dot":
-        raise DocumentError(f"{args.file}: --format dot needs an hda document")
-    if isinstance(value, Ipomset):
-        return serialize(ipomset_to_doc(value))
-    if isinstance(value, Language):
-        return serialize(language_to_doc(value))
-    if isinstance(value, PrecubicalSet):
-        return serialize(precubical_to_doc(value))
-    return serialize(span_to_doc(*value))
-
-
-_AUTOMATON_VERBS = frozenset(
-    {"validate", "tensor", "coproduct", "pushout", "replicate", "chain", "dot"}
-)
-
-
 def _run(args: argparse.Namespace) -> str:
-    verb = args.verb
-    if args.format == "dot" and verb not in _AUTOMATON_VERBS:
+    verb = _VERBS[args.verb]
+    if args.format == "dot" and not verb.automaton:
         raise DocumentError(
-            f"{verb}: --format dot applies only to verbs that output an automaton"
+            f"{args.verb}: --format dot applies only to verbs that output an automaton"
         )
-    if verb == "validate":
-        return _run_validate(args)
-    if verb == "language":
-        lang = hda_language(_load(args.file, Hda, "an hda"), args.max_events)
-        return serialize(language_to_doc(lang))
-    if verb == "expand":
-        members = expand(_load(args.file, Language, "a language"), args.max_events)
-        return serialize(ipomset_list_to_doc(sorted(members, key=repr)))
-    if verb == "tensor":
-        left = _load(args.file, Hda, "an hda")
-        return _emit_hda(tensor_hda(left, _load(args.other, Hda, "an hda")), args)
-    if verb == "coproduct":
-        total = coproduct_hda([_load(f, Hda, "an hda") for f in args.file])
-        return _emit_hda(total, args)
-    if verb == "pushout":
-        apex, left, right, into_left, into_right = _load(args.file, tuple, "a span")
-        return _emit_hda(pushout_hda(apex, left, right, into_left, into_right), args)
-    if verb == "replicate":
-        return _emit_hda(replicate(_load(args.file, Hda, "an hda"), args.n), args)
-    if verb == "chain":
-        stages, _ = replication_chain_prefix(
-            _load(args.file, Hda, "an hda"), args.n, base=args.base, far=args.far
-        )
-        return _emit_hda(stages[-1], args)
-    if verb == "glue":
-        first = _load(args.file, Ipomset, "an ipomset")
-        second = _load(args.other, Ipomset, "an ipomset")
-        return serialize(ipomset_to_doc(glue(first, second)))
-    if verb == "par":
-        first = _load(args.file, Ipomset, "an ipomset")
-        second = _load(args.other, Ipomset, "an ipomset")
-        return serialize(ipomset_to_doc(parallel(first, second)))
-    if verb == "closure":
-        lang = par_closure_bounded(_load(args.file, Language, "a language"), args.n)
-        return serialize(language_to_doc(lang))
-    if verb == "subsume":
-        first = _load(args.file, Ipomset, "an ipomset")
-        witness = subsumes(first, _load(args.other, Ipomset, "an ipomset"))
-        record: dict[str, Any] = {
-            "type": "subsumption",
-            "subsumes": witness is not None,
-        }
-        if witness is not None:
-            record["witness"] = list(witness)
-        return serialize(record)
-    if verb == "interval":
-        rep = interval_representation(_load(args.file, Ipomset, "an ipomset"))
-        if isinstance(rep, IntervalRepresentation):
-            return serialize(
-                {
-                    "type": "intervalRepresentation",
-                    "begin": list(rep.begin),
-                    "end": list(rep.end),
-                }
-            )
-        raise _DomainFailure(
-            {
-                "error": "NotInterval",
-                "witness": {
-                    "firstLow": rep.first_low,
-                    "firstHigh": rep.first_high,
-                    "secondLow": rep.second_low,
-                    "secondHigh": rep.second_high,
-                },
-            }
-        )
-    if verb == "dot":
-        return to_dot(_load(args.file, Hda, "an hda"))
-    raise AssertionError(f"unhandled verb {verb!r}")
+    if verb.files == "+":
+        paths = args.file
+    else:
+        paths = [args.file, args.other] if verb.files == 2 else [args.file]
+    result = verb.run(args, *(_load(path, verb.kind) for path in paths))
+    if isinstance(result, str):
+        return result
+    if args.format == "dot":
+        if not isinstance(result, Hda):
+            raise DocumentError(f"{args.file}: --format dot needs an hda document")
+        return to_dot(result)
+    return serialize(result if isinstance(result, dict) else _to_doc(result))
 
 
-def _domain_record(exc: Exception) -> str:
-    record: dict[str, Any] = {
-        "error": type(exc).__name__,
-        "detail": str(exc),
-    }
+def _domain_record(exc: Exception) -> Doc:
+    if isinstance(exc, _DomainFailure):
+        return exc.record
+    record: Doc = {"error": type(exc).__name__, "detail": str(exc)}
     if isinstance(exc, PrecubicalInvariant):
         record["violations"] = list(exc.violations)
-    return serialize(record)
+    return record
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         output = _run(args)
-    except DocumentError as exc:
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(output)
+    except (DocumentError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except _DomainFailure as exc:
-        sys.stdout.write(serialize(exc.record))
+    except (_DomainFailure, IpomsetError, PrecubicalError, NotInterval, ValueError) as exc:
+        sys.stdout.write(serialize(_domain_record(exc)))
         return 1
-    except (IpomsetError, PrecubicalError, NotInterval, ValueError) as exc:
-        sys.stdout.write(_domain_record(exc))
-        return 1
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(output)
-    else:
+    if not args.out:
         sys.stdout.write(output)
     return 0
 

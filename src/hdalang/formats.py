@@ -33,7 +33,7 @@ checked by the package's constructors, whose errors propagate unchanged.
 from __future__ import annotations
 
 import json
-from typing import Any, Mapping
+from typing import Any, Callable, Iterable, Mapping, NamedTuple
 
 from hdalang.hda import Hda
 from hdalang.ipomset import Ipomset, validate
@@ -141,10 +141,11 @@ def language_from_doc(doc: Mapping[str, Any]) -> Language:
     )
     gens = doc.get("generators")
     _expect(isinstance(gens, list), "generators must be a list")
+    _expect(all(isinstance(g, dict) for g in gens), "each generator must be an object")
     return normalize([ipomset_from_doc(g) for g in gens], bound)
 
 
-def ipomset_list_to_doc(members: list[Ipomset]) -> Doc:
+def ipomset_list_to_doc(members: Iterable[Ipomset]) -> Doc:
     return {
         "type": "ipomsets",
         "members": [
@@ -194,7 +195,10 @@ def _cells_from_doc(doc: Mapping[str, Any]) -> tuple[dict, dict]:
         for key, tgt in table.items():
             parts = str(key).split(",")
             _expect(
-                len(parts) == 2 and parts[0] in ("0", "1") and parts[1].isdigit(),
+                len(parts) == 2
+                and parts[0] in ("0", "1")
+                and parts[1].isascii()
+                and parts[1].isdigit(),
                 f"cell {cid!r} face key {key!r} must look like '<nu>,<position>'",
             )
             _expect(isinstance(tgt, str), f"cell {cid!r} face {key!r} must name a cell")
@@ -274,6 +278,24 @@ def span_from_doc(doc: Mapping[str, Any]) -> tuple[Hda, Hda, Hda, dict, dict]:
 # --- top-level dispatch -------------------------------------------------------------
 
 
+class _Kind(NamedTuple):
+    """One document kind: the type of value it holds, its reader and its writer."""
+
+    type: type
+    read: Callable[[Mapping[str, Any]], Any]
+    write: Callable[[Any], Doc]
+
+
+# Every document kind by its ``"type"`` field.
+_KINDS: dict[str, _Kind] = {
+    "ipomset": _Kind(Ipomset, ipomset_from_doc, ipomset_to_doc),
+    "language": _Kind(Language, language_from_doc, language_to_doc),
+    "precubical": _Kind(PrecubicalSet, precubical_from_doc, precubical_to_doc),
+    "hda": _Kind(Hda, hda_from_doc, hda_to_doc),
+    "span": _Kind(tuple, span_from_doc, lambda span: span_to_doc(*span)),
+}
+
+
 def parse_document(text: str) -> Any:
     """Parse any supported document; returns the corresponding value.
 
@@ -284,17 +306,17 @@ def parse_document(text: str) -> Any:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise DocumentError("not valid JSON: nested too deeply") from exc
     _expect(isinstance(doc, dict), "a document must be a JSON object")
     kind = doc.get("type")
-    parsers = {
-        "ipomset": ipomset_from_doc,
-        "language": language_from_doc,
-        "precubical": precubical_from_doc,
-        "hda": hda_from_doc,
-        "span": span_from_doc,
-    }
-    _expect(kind in parsers, f"unknown document type {kind!r}")
-    return parsers[kind](doc)
+    _expect(kind in _KINDS, f"unknown document type {kind!r}")
+    return _KINDS[kind].read(doc)
+
+
+def _to_doc(value: Any) -> Doc:
+    """The document of any value :func:`parse_document` returns."""
+    return next(kind.write(value) for kind in _KINDS.values() if isinstance(value, kind.type))
 
 
 def serialize(doc: Doc) -> str:

@@ -72,11 +72,6 @@ class Language:
                     "generators must form an antichain; use normalize()"
                 )
 
-    @property
-    def is_empty_language(self) -> bool:
-        """True for the empty language (which differs from ``{empty ipomset}``)."""
-        return not self.generators
-
 
 def _unchecked_language(
     generators: frozenset[Ipomset], event_bound: int | None

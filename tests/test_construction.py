@@ -9,9 +9,10 @@ rebuild such results through ``Ipomset(...)``, ``Language(...)``,
 ``HdaMap(...)``, which check everything, and require the same value and
 the same field types: a builder that hands over a ``list`` or a relation
 that is not transitively closed fails here.  The last tests keep
-``assert`` out of the package, because ``python -O`` strips it, and keep
-``object.__new__``, which skips every check, inside the ``_unchecked*``
-builders.
+``assert`` out of the package, because ``python -O`` strips it, and
+``raise AssertionError`` too, because a failure must reach the user as a
+typed error; and they keep ``object.__new__``, which skips every check,
+inside the ``_unchecked*`` builders.
 """
 
 from __future__ import annotations
@@ -270,6 +271,15 @@ class TestNoAssert:
             tree = ast.parse(module.read_text(encoding="utf-8"), str(module))
             lines = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
             assert not lines, f"{module.name} has assert statements at lines {lines}"
+            raised = [
+                n.lineno
+                for n in ast.walk(tree)
+                if isinstance(n, ast.Raise)
+                and n.exc is not None
+                and "AssertionError"
+                in {x.id for x in ast.walk(n.exc) if isinstance(x, ast.Name)}
+            ]
+            assert not raised, f"{module.name} raises AssertionError at lines {raised}"
 
     def test_only_unchecked_builders_call_object_new(self):
         trees = {

@@ -14,6 +14,9 @@ Core claims exercised here:
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -30,6 +33,7 @@ from hdalang import (
     point,
     validate,
 )
+from hdalang import cli
 from hdalang.cli import main
 from hdalang.formats import (
     DocumentError,
@@ -173,6 +177,20 @@ class TestDocumentErrors:
         lang = language_from_doc(doc)
         assert all(g.size == 4 for g in lang.generators)
         assert two_plus_two_ipomset() not in lang.generators
+
+    def test_generator_that_is_not_an_object(self):
+        for entry in (1, "a", [], None):
+            text = json.dumps({"type": "language", "generators": [entry]})
+            with pytest.raises(DocumentError, match="each generator must be an object"):
+                parse_document(text)
+
+    def test_face_position_must_be_ascii_digits(self):
+        # "\u00b9" (superscript one) passes str.isdigit() but not int().
+        for position in ("\u00b9", "\u0663", "1a", ""):
+            cell = {"id": "v", "word": [], "faces": {f"0,{position}": "v"}}
+            text = json.dumps({"type": "hda", "cells": [cell]})
+            with pytest.raises(DocumentError, match="face key"):
+                parse_document(text)
 
 
 # --- CLI ------------------------------------------------------------------------
@@ -427,6 +445,45 @@ class TestCliFailures:
         assert captured.out == ""
         assert "eventBound" in captured.err
 
+    def test_malformed_documents_are_exit_2(self, tmp_path, capsys):
+        generator = write_doc(tmp_path, "g.json", '{"type": "language", "generators": [1]}')
+        face = write_doc(
+            tmp_path,
+            "f.json",
+            '{"type": "hda", "cells": [{"id": "v", "faces": {"0,\\u00b9": "v"}}]}',
+        )
+        for path, message in (
+            (generator, "each generator must be an object"),
+            (face, "face key"),
+        ):
+            assert main(["validate", path]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ") and message in captured.err
+
+    def test_non_utf8_file_is_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"type": "ipomset", "events": ["\xe9"]}')
+        assert main(["validate", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: not UTF-8 text")
+
+    def test_too_deeply_nested_json_is_exit_2(self, tmp_path, capsys):
+        path = write_doc(tmp_path, "deep.json", "[" * 100000)
+        assert main(["validate", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: not valid JSON: nested too deeply\n"
+
+    def test_unwritable_out_is_exit_2(self, tmp_path, capsys):
+        path = write_doc(tmp_path, "p.json", ipomset_to_doc(point("a")))
+        for target in (tmp_path / "absent" / "out.json", tmp_path):
+            assert main(["validate", path, "--out", str(target)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ") and str(target) in captured.err
+
     def test_chain_of_zero_stages_is_exit_1(self, tmp_path, capsys):
         seed = write_doc(
             tmp_path, "seed.json", hda_to_doc(edge_automaton("a"))
@@ -435,6 +492,46 @@ class TestCliFailures:
             main(["chain", seed, "--n", "0", "--base", "v0", "--far", "v1"]) == 1
         )
         assert read_json(capsys)["error"] == "ValueError"
+
+
+class TestCachedParser:
+    def test_parser_is_built_on_first_call_only(self, tmp_path, capsys):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        probe = "import hdalang.cli as cli; print(cli._parser.cache_info().currsize)"
+        imported = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True, text=True, check=True,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert imported.stdout == "0\n"
+        path = write_doc(tmp_path, "p.json", ipomset_to_doc(point("a")))
+        cli._parser.cache_clear()
+        for _ in range(3):
+            assert main(["validate", path]) == 0
+        assert cli._parser.cache_info()[:2] == (2, 1)  # hits, misses
+
+    def test_calls_in_one_process_do_not_share_state(self, tmp_path, capsys):
+        seed = write_doc(
+            tmp_path,
+            "seed.json",
+            hda_to_doc(edge_automaton("a", with_start=False, with_accept=True)),
+        )
+        a = write_doc(tmp_path, "a.json", hda_to_doc(edge_automaton("a")))
+        b = write_doc(tmp_path, "b.json", hda_to_doc(edge_automaton("b")))
+        calls = [
+            ["chain", seed, "--n", "2", "--base", "v0", "--far", "v1"],
+            ["replicate", a, "--n", "2"],
+            ["tensor", a, b],
+            ["chain", seed, "--n", "2", "--base", "v0", "--far", "v1"],
+        ]
+        fresh = []
+        for argv in calls:
+            cli._parser.cache_clear()
+            assert main(argv) == 0
+            fresh.append(capsys.readouterr().out)
+        for argv, expected in zip(calls, fresh):
+            assert main(argv) == 0
+            assert capsys.readouterr().out == expected, argv
 
 
 class TestDot:
