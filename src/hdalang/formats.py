@@ -198,7 +198,8 @@ def _cells_from_doc(doc: Mapping[str, Any]) -> tuple[dict, dict]:
                 len(parts) == 2
                 and parts[0] in ("0", "1")
                 and parts[1].isascii()
-                and parts[1].isdigit(),
+                and parts[1].isdigit()
+                and (parts[1][0] != "0" or parts[1] == "0"),
                 f"cell {cid!r} face key {key!r} must look like '<nu>,<position>'",
             )
             _expect(isinstance(tgt, str), f"cell {cid!r} face {key!r} must name a cell")
@@ -310,7 +311,7 @@ def parse_document(text: str) -> Any:
         raise DocumentError("not valid JSON: nested too deeply") from exc
     _expect(isinstance(doc, dict), "a document must be a JSON object")
     kind = doc.get("type")
-    _expect(kind in _KINDS, f"unknown document type {kind!r}")
+    _expect(isinstance(kind, str) and kind in _KINDS, f"unknown document type {kind!r}")
     return _KINDS[kind].read(doc)
 
 
@@ -327,6 +328,11 @@ def serialize(doc: Doc) -> str:
 # --- DOT rendering -------------------------------------------------------------------
 
 
+def _quoted(text: str) -> str:
+    """``text`` as a DOT string: in double quotes, with ``\\`` and ``"`` escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def to_dot(automaton: Hda) -> str:
     """Render an automaton for Graphviz.
 
@@ -337,24 +343,25 @@ def to_dot(automaton: Hda) -> str:
     dimension three or more cannot be drawn and are listed in comments.
     """
     carrier = automaton.carrier
+    ids = {cid: _quoted(cid) for cid in carrier.cells}
     lines = ["digraph hda {", "  rankdir=LR;"]
     for vid in carrier.cells_of_dim(0):
         shape = ", peripheries=2" if vid in automaton.accept else ""
-        lines.append(f'  "{vid}" [shape=circle{shape}];')
+        lines.append(f"  {ids[vid]} [shape=circle{shape}];")
     for k, vid in enumerate(sorted(automaton.start & set(carrier.cells_of_dim(0)))):
         lines.append(f'  "__start{k}" [shape=point, style=invis];')
-        lines.append(f'  "__start{k}" -> "{vid}";')
+        lines.append(f'  "__start{k}" -> {ids[vid]};')
     for eid in carrier.cells_of_dim(1):
         label = carrier.cells[eid][0]
         mark = " (accept)" if eid in automaton.accept else ""
         tail = carrier.faces[(eid, 0, 1)]
         head = carrier.faces[(eid, 1, 1)]
-        lines.append(f'  "{tail}" -> "{head}" [label="{label}{mark}"];')
+        lines.append(f"  {ids[tail]} -> {ids[head]} [label={_quoted(label + mark)}];")
     for sid in carrier.cells_of_dim(2):
         word = ",".join(carrier.cells[sid])
         lines.append(
-            f'  "{sid}" [shape=box, style=filled, fillcolor=lightgray, '
-            f'label="{sid}: [{word}]"];'
+            f"  {ids[sid]} [shape=box, style=filled, fillcolor=lightgray, "
+            f"label={_quoted(f'{sid}: [{word}]')}];"
         )
         corners = sorted(
             {
@@ -363,10 +370,11 @@ def to_dot(automaton: Hda) -> str:
             }
         )
         for corner in corners:
-            lines.append(f'  "{sid}" -> "{corner}" [style=dashed, arrowhead=none];')
+            lines.append(f"  {ids[sid]} -> {ids[corner]} [style=dashed, arrowhead=none];")
     for d in range(3, carrier.dimension + 1):
         for cid in carrier.cells_of_dim(d):
             word = ",".join(carrier.cells[cid])
-            lines.append(f'  // cell "{cid}" of dimension {d}: [{word}]')
+            comment = f"  // cell {ids[cid]} of dimension {d}: [{word}]"
+            lines.append(comment.replace("\r", "\\r").replace("\n", "\\n"))
     lines.append("}")
     return "\n".join(lines) + "\n"

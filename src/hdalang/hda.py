@@ -17,9 +17,11 @@ There is one path semantics: a label is the glue of one piece per step
 finished ones untargeted).  One step function, :func:`_advance`, builds
 it with the composition kernel of :func:`hdalang.ipomset.glue`
 (``ipomset._glued``) from the piece's fields, without building the piece.
-The label of a single path (:func:`ev_label`), the path enumeration and
-the language extraction all take their steps from one table and their
-labels from that one step.  The extraction follows only *sparse* paths,
+The path enumeration and the language extraction take their steps from
+one table; the label of a single path (:func:`ev_label`) checks each
+given step with :func:`validate_path`, which applies its face
+(``PrecubicalSet.apply_face``).  All three take their labels from that
+one step function.  The extraction follows only *sparse* paths,
 in which up-steps and down-steps alternate: every path is equivalent to
 exactly one sparse path, with the same label (Fahrenberg, Johansen, Struth
 & Ziemiański, MSCS 2021).  It prunes the labels it reaches at each cell to
@@ -54,7 +56,6 @@ from hdalang.precubical import (
     tensor_cell_id,
     validate_precubical_map,
 )
-from hdalang.precubical import _unchecked as _unchecked_value
 
 
 # --- automata -------------------------------------------------------------------
@@ -91,14 +92,24 @@ def validate_hda_map(
     start cells and accept cells to accept cells.
     """
     problems = validate_precubical_map(source.carrier, target.carrier, mapping)
-    if problems:
-        return problems
-    for cell in sorted(source.start):
-        if mapping[cell] not in target.start:
-            problems.append(f"start cell {cell!r} maps to unmarked {mapping[cell]!r}")
-    for cell in sorted(source.accept):
-        if mapping[cell] not in target.accept:
-            problems.append(f"accept cell {cell!r} maps to unmarked {mapping[cell]!r}")
+    return problems or _unmarked(source, target, mapping)
+
+
+def _unmarked(source: Hda, target: Hda, mapping: Mapping[str, str]) -> list[str]:
+    """The marking check of :func:`validate_hda_map`, one text per offence.
+
+    ``mapping`` must send every cell of ``source`` to a cell of ``target``.
+    """
+    problems = [
+        f"start cell {cell!r} maps to unmarked {mapping[cell]!r}"
+        for cell in sorted(source.start)
+        if mapping[cell] not in target.start
+    ]
+    problems += [
+        f"accept cell {cell!r} maps to unmarked {mapping[cell]!r}"
+        for cell in sorted(source.accept)
+        if mapping[cell] not in target.accept
+    ]
     return problems
 
 
@@ -221,7 +232,7 @@ def _advance(label: Ipomset, step: Step, word: Word) -> Ipomset:
     if isinstance(step, DownStep):
         done = {targets[p - 1] for p in step.positions}
         return _unchecked(
-            label.labels, label.precedence, label.sources, label.targets - done
+            Ipomset, label.labels, label.precedence, label.sources, label.targets - done
         )
     idle = [i for i in range(len(word)) if i + 1 not in step.positions]
     return _glued(
@@ -517,7 +528,7 @@ def language(automaton: Hda, max_events: int) -> Language:
 
 def unit_hda() -> Hda:
     """The tensor unit: one vertex, both start and accept."""
-    carrier = _unchecked_value(PrecubicalSet, cells={"v": ()}, faces={})
+    carrier = _unchecked(PrecubicalSet, {"v": ()}, {})
     return Hda(carrier, frozenset({"v"}), frozenset({"v"}))
 
 
@@ -655,15 +666,10 @@ def replication_chain_prefix(
         stage = Hda(colim, frozenset(), frozenset(accept))
         # The cocone is a precubical map that keeps every accept cell; only
         # the seed's start cells, which no later stage marks, can break it.
-        unmarked = [
-            f"start cell {c!r} maps to unmarked {into_next[c]!r}"
-            for c in sorted(stages[-1].start)
-        ]
+        unmarked = _unmarked(stages[-1], stage, into_next)
         if unmarked:
             raise PrecubicalInvariant(unmarked)
-        inclusions.append(
-            _unchecked_value(HdaMap, source=stages[-1], target=stage, mapping=into_next)
-        )
+        inclusions.append(_unchecked(HdaMap, stages[-1], stage, into_next))
         stages.append(stage)
         power, power_far = bigger, bigger_far
         into_stage = cocones[2].mapping

@@ -45,9 +45,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence, TypeVar
 
 Pair = tuple[int, int]
+_T = TypeVar("_T")
 
 
 # --- errors -----------------------------------------------------------------
@@ -223,27 +224,21 @@ class Ipomset:
 EMPTY: Ipomset = Ipomset((), frozenset(), frozenset(), frozenset())
 
 
-_new = object.__new__
 _set = object.__setattr__
 
 
-def _unchecked(
-    labels: tuple[str, ...],
-    precedence: frozenset[Pair],
-    sources: frozenset[int],
-    targets: frozenset[int],
-) -> Ipomset:
-    """An :class:`Ipomset` holding the given fields as they are.
+def _unchecked(cls: type[_T], *fields: object) -> _T:
+    """An instance of the dataclass ``cls`` holding ``fields`` as they are.
 
+    The fields are given by position, in ``cls.__match_args__`` order.
     Skips ``__post_init__``, so it is only for values the library built
     from checked ones: they must already have the field types and the
-    invariants the checked constructor would establish.
+    invariants the checked constructor would establish.  It is the
+    package's one builder of this kind, for every dataclass it makes.
     """
-    value = _new(Ipomset)
-    _set(value, "labels", labels)
-    _set(value, "precedence", precedence)
-    _set(value, "sources", sources)
-    _set(value, "targets", targets)
+    value = object.__new__(cls)
+    for name, field_value in zip(cls.__match_args__, fields):
+        _set(value, name, field_value)
     return value
 
 
@@ -298,6 +293,7 @@ def _numbered(
     :func:`transitive_closure`.
     """
     return _unchecked(
+        Ipomset,
         tuple(labels[x] for x in sorted(range(len(labels)), key=rank.__getitem__)),
         frozenset({(rank[a], rank[b]) for a, b in prec}),
         frozenset(rank[s] for s in sources),
@@ -724,6 +720,7 @@ def _glued(
     prec.update([(carry[a], carry[b]) for a, b in q_prec])
     prec.update([(x, f) for x in range(len(p_labels)) if x not in p_targets for f in fresh])
     return _unchecked(
+        Ipomset,
         tuple(labels),
         frozenset(prec),
         frozenset(map(number.__getitem__, p_sources)),
@@ -740,6 +737,7 @@ def parallel(p: Ipomset, q: Ipomset) -> Ipomset:
     """
     shift = p.size
     return _unchecked(
+        Ipomset,
         p.labels + q.labels,
         p.precedence | frozenset((a + shift, b + shift) for a, b in q.precedence),
         p.sources | frozenset(s + shift for s in q.sources),

@@ -34,6 +34,7 @@ from hdalang.ipomset import (
     SequentialMismatch,
     _masks,
     _numbered,
+    _unchecked,
     glue,
     is_interval,
     parallel,
@@ -71,20 +72,6 @@ class Language:
                 raise ValueError(
                     "generators must form an antichain; use normalize()"
                 )
-
-
-def _unchecked_language(
-    generators: frozenset[Ipomset], event_bound: int | None
-) -> Language:
-    """A :class:`Language` holding the given fields as they are.
-
-    Skips ``__post_init__``, so it is only for generators the library has
-    already made an antichain of interval ipomsets.
-    """
-    value = object.__new__(Language)
-    object.__setattr__(value, "generators", generators)
-    object.__setattr__(value, "event_bound", event_bound)
-    return value
 
 
 def normalize(ipomsets: Iterable[Ipomset], event_bound: int | None = None) -> Language:
@@ -130,7 +117,7 @@ def normalize(ipomsets: Iterable[Ipomset], event_bound: int | None = None) -> La
             len(g.precedence) < pairs and subsumes(p, g) is not None for g in keep
         ):
             keep.append(p)
-    return _unchecked_language(frozenset(keep), event_bound)
+    return _unchecked(Language, frozenset(keep), event_bound)
 
 
 def contains(lang: Language, p: Ipomset) -> bool:
@@ -230,8 +217,10 @@ def restrict(lang: Language, max_events: int) -> Language:
     """
     if max_events < 0:
         raise ValueError("the event bound must be non-negative")
-    return _unchecked_language(
-        frozenset(g for g in lang.generators if g.size <= max_events), max_events
+    return _unchecked(
+        Language,
+        frozenset(g for g in lang.generators if g.size <= max_events),
+        max_events,
     )
 
 

@@ -31,11 +31,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence, TypeVar
+from typing import Iterable, Mapping, Sequence
+
+from hdalang.ipomset import _unchecked
 
 Word = tuple[str, ...]
 FaceKey = tuple[str, int, int]
-_T = TypeVar("_T")
 
 
 # --- errors -------------------------------------------------------------------
@@ -419,19 +420,6 @@ def compose_maps(outer: PrecubicalMap, inner: PrecubicalMap) -> PrecubicalMap:
 # --- tensor, coproduct, colimit -----------------------------------------------
 
 
-def _unchecked(cls: type[_T], **fields: object) -> _T:
-    """An instance of ``cls`` holding ``fields`` as they are.
-
-    Skips ``__post_init__``, so it is only for values the library built
-    from checked ones: they must already have the field types and the
-    invariants the checked constructor would establish.
-    """
-    value = object.__new__(cls)
-    for name, field_value in fields.items():
-        object.__setattr__(value, name, field_value)
-    return value
-
-
 def tensor_cell_id(left: str, right: str) -> str:
     """The id used for the tensor of two cells."""
     return f"({left}|{right})"
@@ -462,7 +450,7 @@ def tensor(x: PrecubicalSet, y: PrecubicalSet) -> PrecubicalSet:
                     faces[(cid, nu, pos)] = tensor_cell_id(x.faces[(xc, nu, pos)], yc)
                 for pos in range(1, len(yw) + 1):
                     faces[(cid, nu, dx + pos)] = tensor_cell_id(xc, y.faces[(yc, nu, pos)])
-    return _unchecked(PrecubicalSet, cells=cells, faces=faces)
+    return _unchecked(PrecubicalSet, cells, faces)
 
 
 def coproduct(parts: Sequence[PrecubicalSet]) -> tuple[PrecubicalSet, list[PrecubicalMap]]:
@@ -536,9 +524,9 @@ def _colimit(
         for i, obj in enumerate(objects)
         for (c, nu, pos), f in obj.faces.items()
     }
-    colim = _unchecked(PrecubicalSet, cells=words, faces=faces)
+    colim = _unchecked(PrecubicalSet, words, faces)
     cocones = [
-        _unchecked(PrecubicalMap, source=obj, target=colim, mapping=tag)
+        _unchecked(PrecubicalMap, obj, colim, tag)
         for obj, tag in zip(objects, tags)
     ]
     return colim, cocones

@@ -12,7 +12,7 @@ that is not transitively closed fails here.  The last tests keep
 ``assert`` out of the package, because ``python -O`` strips it, and
 ``raise AssertionError`` too, because a failure must reach the user as a
 typed error; and they keep ``object.__new__``, which skips every check,
-inside the ``_unchecked*`` builders.
+inside the ``_unchecked`` builder.
 """
 
 from __future__ import annotations
@@ -332,5 +332,13 @@ class TestNoAssert:
             for line, scope in calls(tree, "<module>")
         ]
         assert found
-        stray = [c for c in found if not c[2].startswith("_unchecked")]
-        assert not stray, f"object.__new__ called outside _unchecked* builders: {stray}"
+        stray = [c for c in found if c[2] != "_unchecked"]
+        assert not stray, f"object.__new__ called outside the _unchecked builder: {stray}"
+        builders = [
+            (name, node.lineno)
+            for name, tree in trees.items()
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name == "_unchecked"
+        ]
+        assert len(builders) == 1, f"expected one _unchecked builder, found {builders}"

@@ -31,6 +31,7 @@ from hdalang import (
     language,
     normalize,
     point,
+    tensor_hda,
     validate,
 )
 from hdalang import cli
@@ -186,7 +187,7 @@ class TestDocumentErrors:
 
     def test_face_position_must_be_ascii_digits(self):
         # "\u00b9" (superscript one) passes str.isdigit() but not int().
-        for position in ("\u00b9", "\u0663", "1a", ""):
+        for position in ("\u00b9", "\u0663", "1a", "", "01"):
             cell = {"id": "v", "word": [], "faces": {f"0,{position}": "v"}}
             text = json.dumps({"type": "hda", "cells": [cell]})
             with pytest.raises(DocumentError, match="face key"):
@@ -452,9 +453,13 @@ class TestCliFailures:
             "f.json",
             '{"type": "hda", "cells": [{"id": "v", "faces": {"0,\\u00b9": "v"}}]}',
         )
+        listed = write_doc(tmp_path, "l.json", '{"type": [1]}')
+        mapped = write_doc(tmp_path, "m.json", '{"type": {}}')
         for path, message in (
             (generator, "each generator must be an object"),
             (face, "face key"),
+            (listed, "unknown document type [1]"),
+            (mapped, "unknown document type {}"),
         ):
             assert main(["validate", path]) == 2
             captured = capsys.readouterr()
@@ -551,6 +556,28 @@ class TestDot:
         )
         text = to_dot(cube)
         assert "dimension 3" in text or "dim 3" in text
+
+    def test_quotes_backslashes_and_line_breaks_are_escaped(self):
+        f = "f\\\n"
+        cells = {'v"0': (), "v\\1": (), 'e"': ('a"b',), f: ("c\\",)}
+        faces = {
+            ('e"', 0, 1): 'v"0',
+            ('e"', 1, 1): "v\\1",
+            (f, 0, 1): "v\\1",
+            (f, 1, 1): 'v"0',
+        }
+        automaton = Hda(PrecubicalSet(cells, faces), {'v"0'}, {"v\\1"})
+        lines = to_dot(automaton).splitlines()
+        assert r'  "v\"0" [shape=circle];' in lines
+        assert r'  "v\\1" [shape=circle, peripheries=2];' in lines
+        assert r'  "__start0" -> "v\"0";' in lines
+        assert r'  "v\"0" -> "v\\1" [label="a\"b"];' in lines
+        assert r'  "v\\1" -> "v\"0" [label="c\\"];' in lines
+        # A line break would end a comment and leave the rest of it as code.
+        cube = tensor_hda(tensor_hda(automaton, automaton), automaton)
+        comments = [line for line in to_dot(cube).splitlines() if "//" in line]
+        assert len(comments) == 8
+        assert r'  // cell "((f\\\n|f\\\n)|f\\\n)" of dimension 3: [c\,c\,c\]' in comments
 
     def test_cli_dot(self, tmp_path, capsys):
         path = write_doc(tmp_path, "x.json", hda_to_doc(edge_automaton("a")))

@@ -29,6 +29,7 @@ from hdalang import (
     EventOrderIncomplete,
     InternalOrderCycle,
     Ipomset,
+    IpomsetError,
     LabelMissing,
     SequentialMismatch,
     SourceNotMinimal,
@@ -220,6 +221,34 @@ class TestConstructors:
         p = from_concurrent(["a", "b", "c"])
         assert p.precedence == frozenset()
         assert p.event_order == frozenset({(0, 1), (0, 2), (1, 2)})
+
+    @pytest.mark.parametrize(
+        "fields, error",
+        [
+            ((("a",), {(0, 1)}, (), ()), EventOrderCycle),
+            ((("a", "b"), {(1, 0)}, (), ()), EventOrderCycle),
+            ((("a", "b"), {(0, 1), (1, 0)}, (), ()), CycleInPrecedence),
+            ((("",), (), (), ()), LabelMissing),
+            (((1,), (), (), ()), LabelMissing),
+            ((("a", "b"), {(0, 1)}, {1}, ()), SourceNotMinimal),
+            ((("a", "b"), {(0, 1)}, (), {0}), TargetNotMaximal),
+            ((("a",), (), {1}, ()), LabelMissing),
+        ],
+        ids=[
+            "pair-out-of-range",
+            "decreasing-pair",
+            "two-cycle",
+            "empty-label",
+            "non-string-label",
+            "source-with-predecessor",
+            "target-with-successor",
+            "interface-out-of-range",
+        ],
+    )
+    def test_constructor_refuses_malformed_fields(self, fields, error):
+        with pytest.raises(IpomsetError) as raised:
+            Ipomset(*fields)
+        assert type(raised.value) is error
 
     def test_precedence_tables_are_compact(self):
         # A frozenset built from a list or generator of 5-7 pairs may get a

@@ -4,11 +4,14 @@ Refinement is a partial order whose witnesses are valid, ``glue`` is
 associative wherever both bracketings are defined and has identities on
 both sides, both compositions of languages distribute over ``union`` on
 either side, and the JSON document of an ipomset reads back as the same
-value.  The settings come from the profile loaded in ``conftest.py``.
+value.  Any JSON object over the document field names either parses or
+raises a ``ValueError``.  The settings come from the profile loaded in
+``conftest.py``.
 """
 
 from __future__ import annotations
 
+import json
 from itertools import combinations
 
 from hypothesis import given
@@ -27,7 +30,7 @@ from hdalang import (
     subsumes,
     union,
 )
-from hdalang.formats import ipomset_from_doc, ipomset_to_doc
+from hdalang.formats import ipomset_from_doc, ipomset_to_doc, parse_document
 from oracles import is_witness, naive_closure
 
 MAX_EVENTS = 5
@@ -86,6 +89,34 @@ def languages(draw: st.DrawFn) -> Language:
     """A language of one to three generators of at most three events."""
     small = st.integers(0, 3).flatmap(lambda n: ipomsets(size=n))
     return normalize(draw(st.lists(small, min_size=1, max_size=3)))
+
+
+_KINDS = st.sampled_from(("ipomset", "language", "precubical", "hda", "span"))
+_KEYS = st.sampled_from(
+    (
+        "type", "events", "precedence", "eventOrder", "sources", "targets",
+        "generators", "eventBound", "cells", "id", "word", "faces", "start",
+        "accept", "apex", "left", "right", "leftMap", "rightMap", "0,1", "1,1",
+    )
+)
+_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 3)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from(("", "a", "v", "0,1"))
+    | _KINDS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_KEYS, inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@st.composite
+def documents(draw: st.DrawFn) -> dict:
+    """A JSON object over the document field names, ``type`` a kind or any value."""
+    doc = draw(st.dictionaries(_KEYS, _JSON, max_size=5))
+    doc["type"] = draw(_KINDS | _JSON)
+    return doc
 
 
 def _target_labels(p: Ipomset) -> tuple[str, ...]:
@@ -169,3 +200,10 @@ class TestDocuments:
     @given(ipomsets())
     def test_round_trip(self, p):
         assert ipomset_from_doc(ipomset_to_doc(p)) == p
+
+    @given(documents())
+    def test_malformed_documents_raise_only_value_errors(self, doc):
+        try:
+            parse_document(json.dumps(doc))
+        except ValueError:
+            pass
