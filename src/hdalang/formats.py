@@ -25,14 +25,19 @@ a ``"type"`` field:
 
 Serialisation is deterministic: keys sorted, lists in canonical order,
 two-space indentation and a trailing newline, so identical values produce
-byte-identical files.  Parsing checks document structure and raises
-:class:`DocumentError`; the domain invariants of the parsed value are then
-checked by the package's constructors, whose errors propagate unchanged.
+byte-identical files: :func:`serialize` equals ``json.dumps(doc, indent=2,
+sort_keys=True) + "\n"`` byte for byte, without the pure-Python encoder
+that ``indent`` selects.  Parsing checks document structure and raises
+:class:`DocumentError`, formatting its message only on failure; the domain
+invariants of the parsed value are then checked by the package's
+constructors, whose errors propagate unchanged.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+from json.encoder import encode_basestring_ascii as _string
 from typing import Any, Callable, Iterable, Mapping, NamedTuple
 
 from hdalang.hda import Hda
@@ -51,32 +56,32 @@ class DocumentError(ValueError):
 
 
 def _expect(condition: bool, message: str) -> None:
+    # Only for constant messages: a formatted one is built inline, on failure.
     if not condition:
         raise DocumentError(message)
 
 
+def _is_int(x: Any) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _int_pairs(value: Any, what: str) -> list[tuple[int, int]]:
-    _expect(isinstance(value, list), f"{what} must be a list of pairs")
+    if not isinstance(value, list):
+        raise DocumentError(f"{what} must be a list of pairs")
     out: list[tuple[int, int]] = []
     for item in value:
-        _expect(
-            isinstance(item, list)
-            and len(item) == 2
-            and all(isinstance(x, int) and not isinstance(x, bool) for x in item),
-            f"{what} entries must be two-integer lists, got {item!r}",
-        )
+        if not (isinstance(item, list) and len(item) == 2 and all(map(_is_int, item))):
+            raise DocumentError(f"{what} entries must be two-integer lists, got {item!r}")
         out.append((item[0], item[1]))
     return out
 
 
 def _int_list(value: Any, what: str, upper: int) -> list[int]:
-    _expect(
-        isinstance(value, list)
-        and all(isinstance(x, int) and not isinstance(x, bool) for x in value),
-        f"{what} must be a list of integers",
-    )
+    if not (isinstance(value, list) and all(map(_is_int, value))):
+        raise DocumentError(f"{what} must be a list of integers")
     for x in value:
-        _expect(0 <= x < upper, f"{what} index {x} outside 0..{upper - 1}")
+        if not 0 <= x < upper:
+            raise DocumentError(f"{what} index {x} outside 0..{upper - 1}")
     return list(value)
 
 
@@ -105,7 +110,8 @@ def ipomset_from_doc(doc: Mapping[str, Any]) -> Ipomset:
     prec = _int_pairs(doc.get("precedence", []), "precedence")
     order = _int_pairs(doc.get("eventOrder", []), "eventOrder")
     for a, b in prec + order:
-        _expect(0 <= a < n and 0 <= b < n, f"event index pair ({a}, {b}) outside 0..{n - 1}")
+        if not (0 <= a < n and 0 <= b < n):
+            raise DocumentError(f"event index pair ({a}, {b}) outside 0..{n - 1}")
     sources = _int_list(doc.get("sources", []), "sources", n)
     targets = _int_list(doc.get("targets", []), "targets", n)
     return validate(
@@ -135,8 +141,7 @@ def language_from_doc(doc: Mapping[str, Any]) -> Language:
     _expect(doc.get("type") == "language", "expected a language document")
     bound = doc.get("eventBound")
     _expect(
-        bound is None
-        or (isinstance(bound, int) and not isinstance(bound, bool) and bound >= 0),
+        bound is None or (_is_int(bound) and bound >= 0),
         "eventBound must be a non-negative integer or null",
     )
     gens = doc.get("generators")
@@ -161,16 +166,19 @@ def _ipomset_sort_key(p: Ipomset) -> tuple:
 # --- precubical sets and automata ---------------------------------------------------
 
 
+@functools.cache
+def _face_keys(dim: int) -> tuple[tuple[str, int, int], ...]:
+    """The ``"<nu>,<position>"`` face keys of a ``dim``-cell, each with nu and position."""
+    return tuple((f"{nu},{pos}", nu, pos) for nu in (0, 1) for pos in range(1, dim + 1))
+
+
 def _cells_to_doc(carrier: PrecubicalSet) -> list[Doc]:
+    cells, faces = carrier.cells, carrier.faces
     out = []
     for cid in carrier.sorted_cells():
-        word = carrier.cells[cid]
-        faces = {
-            f"{nu},{pos}": carrier.faces[(cid, nu, pos)]
-            for nu in (0, 1)
-            for pos in range(1, len(word) + 1)
-        }
-        out.append({"id": cid, "word": list(word), "faces": faces})
+        word = cells[cid]
+        table = {key: faces[(cid, nu, pos)] for key, nu, pos in _face_keys(len(word))}
+        out.append({"id": cid, "word": list(word), "faces": table})
     return out
 
 
@@ -180,31 +188,39 @@ def _cells_from_doc(doc: Mapping[str, Any]) -> tuple[dict, dict]:
     cells: dict[str, tuple[str, ...]] = {}
     faces: dict[tuple[str, int, int], str] = {}
     for entry in raw:
-        _expect(isinstance(entry, dict), "each cell must be an object")
+        if not isinstance(entry, dict):
+            raise DocumentError("each cell must be an object")
         cid = entry.get("id")
-        _expect(isinstance(cid, str) and bool(cid), "cell id must be a non-empty string")
-        _expect(cid not in cells, f"duplicate cell id {cid!r}")
+        if not (isinstance(cid, str) and cid):
+            raise DocumentError("cell id must be a non-empty string")
+        if cid in cells:
+            raise DocumentError(f"duplicate cell id {cid!r}")
         word = entry.get("word", [])
-        _expect(
-            isinstance(word, list) and all(isinstance(w, str) for w in word),
-            f"cell {cid!r} word must be a list of strings",
-        )
+        if not (isinstance(word, list) and all(isinstance(w, str) for w in word)):
+            raise DocumentError(f"cell {cid!r} word must be a list of strings")
         cells[cid] = tuple(word)
         table = entry.get("faces", {})
-        _expect(isinstance(table, dict), f"cell {cid!r} faces must be an object")
+        if not isinstance(table, dict):
+            raise DocumentError(f"cell {cid!r} faces must be an object")
         for key, tgt in table.items():
-            parts = str(key).split(",")
-            _expect(
-                len(parts) == 2
-                and parts[0] in ("0", "1")
-                and parts[1].isascii()
-                and parts[1].isdigit()
-                and (parts[1][0] != "0" or parts[1] == "0"),
-                f"cell {cid!r} face key {key!r} must look like '<nu>,<position>'",
-            )
-            _expect(isinstance(tgt, str), f"cell {cid!r} face {key!r} must name a cell")
-            faces[(cid, int(parts[0]), int(parts[1]))] = tgt
+            at = _face_at(str(key))
+            if at is None:
+                shape = "must look like '<nu>,<position>'"
+                raise DocumentError(f"cell {cid!r} face key {key!r} {shape}")
+            if not isinstance(tgt, str):
+                raise DocumentError(f"cell {cid!r} face {key!r} must name a cell")
+            faces[(cid, *at)] = tgt
     return cells, faces
+
+
+@functools.lru_cache(maxsize=1024)
+def _face_at(key: str) -> tuple[int, int] | None:
+    """``(nu, position)`` of a ``"<nu>,<position>"`` face key, or None if malformed."""
+    # Positions are ASCII digits without a leading zero; "0,1,2" and "1" fail isdigit.
+    nu, _, pos = key.partition(",")
+    if nu in ("0", "1") and pos.isascii() and pos.isdigit() and (pos[0] != "0" or pos == "0"):
+        return int(nu), int(pos)
+    return None
 
 
 def precubical_to_doc(carrier: PrecubicalSet) -> Doc:
@@ -229,10 +245,8 @@ def hda_from_doc(doc: Mapping[str, Any]) -> Hda:
     cells, faces = _cells_from_doc(doc)
     for field in ("start", "accept"):
         value = doc.get(field, [])
-        _expect(
-            isinstance(value, list) and all(isinstance(c, str) for c in value),
-            f"{field} must be a list of cell ids",
-        )
+        if not (isinstance(value, list) and all(isinstance(c, str) for c in value)):
+            raise DocumentError(f"{field} must be a list of cell ids")
     carrier = PrecubicalSet(cells, faces)
     return Hda(carrier, frozenset(doc.get("start", [])), frozenset(doc.get("accept", [])))
 
@@ -257,23 +271,18 @@ def span_to_doc(
 def span_from_doc(doc: Mapping[str, Any]) -> tuple[Hda, Hda, Hda, dict, dict]:
     _expect(doc.get("type") == "span", "expected a span document")
     for field in ("apex", "left", "right"):
-        _expect(isinstance(doc.get(field), dict), f"span needs an {field} automaton")
+        if not isinstance(doc.get(field), dict):
+            raise DocumentError(f"span needs an {field} automaton")
     legs = []
     for field in ("leftMap", "rightMap"):
         raw = doc.get(field)
-        _expect(
+        if not (
             isinstance(raw, dict)
-            and all(isinstance(k, str) and isinstance(v, str) for k, v in raw.items()),
-            f"{field} must map cell ids to cell ids",
-        )
+            and all(isinstance(k, str) and isinstance(v, str) for k, v in raw.items())
+        ):
+            raise DocumentError(f"{field} must map cell ids to cell ids")
         legs.append(dict(raw))
-    return (
-        hda_from_doc(doc["apex"]),
-        hda_from_doc(doc["left"]),
-        hda_from_doc(doc["right"]),
-        legs[0],
-        legs[1],
-    )
+    return (*(hda_from_doc(doc[field]) for field in ("apex", "left", "right")), *legs)
 
 
 # --- top-level dispatch -------------------------------------------------------------
@@ -311,7 +320,8 @@ def parse_document(text: str) -> Any:
         raise DocumentError("not valid JSON: nested too deeply") from exc
     _expect(isinstance(doc, dict), "a document must be a JSON object")
     kind = doc.get("type")
-    _expect(isinstance(kind, str) and kind in _KINDS, f"unknown document type {kind!r}")
+    if not (isinstance(kind, str) and kind in _KINDS):
+        raise DocumentError(f"unknown document type {kind!r}")
     return _KINDS[kind].read(doc)
 
 
@@ -321,8 +331,34 @@ def _to_doc(value: Any) -> Doc:
 
 
 def serialize(doc: Doc) -> str:
-    """Render a document deterministically (sorted keys, trailing newline)."""
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """Render a document exactly as ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``."""
+    return _emit(doc, "") + "\n"
+
+
+def _emit(value: Any, pad: str) -> str:
+    """``value`` as ``json.dumps(value, indent=2, sort_keys=True)`` writes it ``pad`` deep."""
+    kind = type(value)
+    if kind is str:
+        return _string(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is list:
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        items = [_string(x) if type(x) is str else _emit(x, inner) for x in value]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    if kind is dict and set(map(type, value)) <= {str}:
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        items = [
+            _string(k) + ": " + (_string(v) if type(v) is str else _emit(v, inner))
+            for k, v in sorted(value.items())
+        ]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    # None, bools, floats, and dicts with keys that are not all strings.
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + pad)
 
 
 # --- DOT rendering -------------------------------------------------------------------
@@ -343,37 +379,40 @@ def to_dot(automaton: Hda) -> str:
     dimension three or more cannot be drawn and are listed in comments.
     """
     carrier = automaton.carrier
-    ids = {cid: _quoted(cid) for cid in carrier.cells}
+    cells, faces = carrier.cells, carrier.faces
+    ids = {cid: _quoted(cid) for cid in cells}
+    by_dim: dict[int, list[str]] = {}
+    for cid in sorted(cells):
+        by_dim.setdefault(len(cells[cid]), []).append(cid)
     lines = ["digraph hda {", "  rankdir=LR;"]
-    for vid in carrier.cells_of_dim(0):
+    for vid in by_dim.get(0, ()):
         shape = ", peripheries=2" if vid in automaton.accept else ""
         lines.append(f"  {ids[vid]} [shape=circle{shape}];")
-    for k, vid in enumerate(sorted(automaton.start & set(carrier.cells_of_dim(0)))):
-        lines.append(f'  "__start{k}" [shape=point, style=invis];')
-        lines.append(f'  "__start{k}" -> {ids[vid]};')
-    for eid in carrier.cells_of_dim(1):
-        label = carrier.cells[eid][0]
+    # Markers are named by a prefix that starts no cell id, so none is a cell.
+    marker = "__start"
+    while any(cid.startswith(marker) for cid in cells):
+        marker = "_" + marker
+    for k, vid in enumerate(v for v in by_dim.get(0, ()) if v in automaton.start):
+        lines.append(f'  "{marker}{k}" [shape=point, style=invis];')
+        lines.append(f'  "{marker}{k}" -> {ids[vid]};')
+    for eid in by_dim.get(1, ()):
+        label = cells[eid][0]
         mark = " (accept)" if eid in automaton.accept else ""
-        tail = carrier.faces[(eid, 0, 1)]
-        head = carrier.faces[(eid, 1, 1)]
-        lines.append(f"  {ids[tail]} -> {ids[head]} [label={_quoted(label + mark)}];")
-    for sid in carrier.cells_of_dim(2):
-        word = ",".join(carrier.cells[sid])
+        tail, head = ids[faces[(eid, 0, 1)]], ids[faces[(eid, 1, 1)]]
+        lines.append(f"  {tail} -> {head} [label={_quoted(label + mark)}];")
+    for sid in by_dim.get(2, ()):
+        word = ",".join(cells[sid])
         lines.append(
             f"  {ids[sid]} [shape=box, style=filled, fillcolor=lightgray, "
             f"label={_quoted(f'{sid}: [{word}]')}];"
         )
-        corners = sorted(
-            {
-                carrier.apply_face(sid, lower=lows, upper=set((1, 2)) - set(lows))
-                for lows in ([], [1], [2], [1, 2])
-            }
-        )
-        for corner in corners:
+        # Corner (a, b) is the a-face at position 1 of the b-face at position 2.
+        sides = (faces[(sid, 0, 2)], faces[(sid, 1, 2)])
+        for corner in sorted({faces[(side, a, 1)] for side in sides for a in (0, 1)}):
             lines.append(f"  {ids[sid]} -> {ids[corner]} [style=dashed, arrowhead=none];")
-    for d in range(3, carrier.dimension + 1):
-        for cid in carrier.cells_of_dim(d):
-            word = ",".join(carrier.cells[cid])
+    for d in sorted(d for d in by_dim if d >= 3):
+        for cid in by_dim[d]:
+            word = ",".join(cells[cid])
             comment = f"  // cell {ids[cid]} of dimension {d}: [{word}]"
             lines.append(comment.replace("\r", "\\r").replace("\n", "\\n"))
     lines.append("}")

@@ -11,8 +11,9 @@ the same field types: a builder that hands over a ``list`` or a relation
 that is not transitively closed fails here.  The last tests keep
 ``assert`` out of the package, because ``python -O`` strips it, and
 ``raise AssertionError`` too, because a failure must reach the user as a
-typed error; and they keep ``object.__new__``, which skips every check,
-inside the ``_unchecked`` builder.
+typed error; they keep ``object.__new__``, which skips every check,
+inside the ``_unchecked`` builder; and they keep ``formats._expect`` to
+constant messages, so a document error text is formatted only on failure.
 """
 
 from __future__ import annotations
@@ -342,3 +343,24 @@ class TestNoAssert:
             and node.name == "_unchecked"
         ]
         assert len(builders) == 1, f"expected one _unchecked builder, found {builders}"
+
+    def test_document_errors_are_formatted_only_on_failure(self):
+        # ``_expect`` receives its message whether or not the check fails, so a
+        # formatted message there would be built on every call.
+        module = SRC / "formats.py"
+        tree = ast.parse(module.read_text(encoding="utf-8"), str(module))
+        calls = [
+            node
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "_expect"
+        ]
+        assert calls
+        messages = [
+            (node.lineno, arg)
+            for node in calls
+            for arg in node.args[1:] + [k.value for k in node.keywords if k.arg == "message"]
+        ]
+        eager = [line for line, arg in messages if not isinstance(arg, ast.Constant)]
+        assert not eager, f"_expect gets a computed message at lines {eager}"

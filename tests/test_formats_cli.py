@@ -3,18 +3,22 @@
 Core claims exercised here:
 
 * Every document type round-trips: serialize then parse is the identity
-  on the underlying value, and serialization is byte-deterministic.
-* Malformed documents raise ``DocumentError`` (CLI exit code 2), domain
-  errors produce a machine-readable record on stdout (exit code 1), and
-  successful runs write the result document (exit code 0).
+  on the underlying value, and serialization is byte-deterministic and
+  byte-identical to ``json.dumps(doc, indent=2, sort_keys=True)``.
+* Malformed documents raise ``DocumentError`` with a pinned text (CLI exit
+  code 2), domain errors produce a machine-readable record on stdout
+  (exit code 1), and successful runs write the result document (exit
+  code 0).
 * The Graphviz rendering marks start/accept vertices, labels edges, and
-  draws filled squares.
+  draws filled squares linked to their four corners; start markers never
+  share an id with a cell.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -32,6 +36,7 @@ from hdalang import (
     normalize,
     point,
     tensor_hda,
+    tensor_power,
     validate,
 )
 from hdalang import cli
@@ -58,6 +63,7 @@ from hdalang.samples import (
     pushout_span,
     two_plus_two_ipomset,
 )
+from oracles import random_hda
 
 
 # --- document round trips -----------------------------------------------------
@@ -116,6 +122,32 @@ class TestRoundTrips:
 
     def test_serialized_form_ends_with_newline(self):
         assert serialize(ipomset_to_doc(EMPTY)).endswith("\n")
+
+    def test_serialize_is_json_dumps_on_every_document_kind(self):
+        p = validate({"x": "a", "y": "b"}, [("x", "y")], [("x", "y")], ["x"], ["y"])
+        lang = normalize([from_concurrent(["a", "b"]), from_chain(["a", "a", "b"])], 4)
+        docs = [
+            ipomset_to_doc(p),
+            ipomset_to_doc(EMPTY),
+            language_to_doc(lang),
+            language_to_doc(language(grid_automaton(), 4)),
+            precubical_to_doc(grid_automaton().carrier),
+            hda_to_doc(grid_automaton()),
+            hda_to_doc(tensor_power(edge_automaton("\u00e9"), 3)),
+            span_to_doc(*pushout_span()),
+        ]
+        for doc in docs:
+            assert serialize(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+    def test_serialize_hands_other_values_to_json_dumps(self):
+        # Values ``serialize`` does not write itself, nested at several depths.
+        values = [
+            {"a": [{1: "x", 2: [None, True]}], "b": (1.5, float("inf"))},
+            [[{"k": {False: {}}}], -0.0, 10**30, {}, [], ""],
+            {"\u2028\"\\\x00": {"z": [{"y": None}]}, "": -(10**20)},
+        ]
+        for value in values:
+            assert serialize(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
 
 
 class TestDocumentErrors:
@@ -184,6 +216,62 @@ class TestDocumentErrors:
             text = json.dumps({"type": "language", "generators": [entry]})
             with pytest.raises(DocumentError, match="each generator must be an object"):
                 parse_document(text)
+
+    def test_error_texts(self):
+        # One malformed document per raise site of the readers.
+        def hda(*cells, **fields):
+            return {"type": "hda", "cells": list(cells), **fields}
+
+        def edge(key, target="v"):
+            return {"id": "e", "word": ["a"], "faces": {key: target}}
+
+        def ipomset(**fields):
+            return {"type": "ipomset", "events": ["a", "b"], **fields}
+
+        shape = "must look like '<nu>,<position>'"
+        cases = [
+            ({"type": "hda", "cells": {}}, "cells must be a list"),
+            (hda(1), "each cell must be an object"),
+            (hda({"id": ""}), "cell id must be a non-empty string"),
+            (hda({"id": "v"}, {"id": "v"}), "duplicate cell id 'v'"),
+            (hda({"id": "v", "word": ["a", 1]}), "cell 'v' word must be a list of strings"),
+            (hda({"id": "v", "faces": ["0,1"]}), "cell 'v' faces must be an object"),
+            (hda(edge("2,1")), f"cell 'e' face key '2,1' {shape}"),
+            (hda(edge("1,01")), f"cell 'e' face key '1,01' {shape}"),
+            (hda(edge("0,\u00b9")), f"cell 'e' face key '0,\u00b9' {shape}"),
+            (hda(edge("1")), f"cell 'e' face key '1' {shape}"),
+            (hda(edge("0,1", 3)), "cell 'e' face '0,1' must name a cell"),
+            (hda(start="v"), "start must be a list of cell ids"),
+            (hda(accept=[1]), "accept must be a list of cell ids"),
+            ({"type": "ipomset"}, "events must be a list of strings"),
+            (ipomset(precedence={}), "precedence must be a list of pairs"),
+            (
+                ipomset(eventOrder=[[0]]),
+                "eventOrder entries must be two-integer lists, got [0]",
+            ),
+            (
+                ipomset(precedence=[[0, True]]),
+                "precedence entries must be two-integer lists, got [0, True]",
+            ),
+            (ipomset(precedence=[[0, 2]]), "event index pair (0, 2) outside 0..1"),
+            (ipomset(eventOrder=[[-1, 0]]), "event index pair (-1, 0) outside 0..1"),
+            (ipomset(sources=[0.0]), "sources must be a list of integers"),
+            (ipomset(targets=[1, 2]), "targets index 2 outside 0..1"),
+            ({"type": [1]}, "unknown document type [1]"),
+            ({"type": "span", "apex": {}, "left": {}}, "span needs an right automaton"),
+            (
+                {"type": "span", "apex": {}, "left": {}, "right": {}, "leftMap": {"p": 1}},
+                "leftMap must map cell ids to cell ids",
+            ),
+        ]
+        for doc, text in cases:
+            with pytest.raises(DocumentError) as raised:
+                parse_document(json.dumps(doc))
+            assert str(raised.value) == text, doc
+        # A mapping passed in directly may have keys JSON cannot.
+        with pytest.raises(DocumentError) as raised:
+            hda_from_doc(hda(edge((0, 1))))
+        assert str(raised.value) == f"cell 'e' face key (0, 1) {shape}"
 
     def test_face_position_must_be_ascii_digits(self):
         # "\u00b9" (superscript one) passes str.isdigit() but not int().
@@ -578,6 +666,70 @@ class TestDot:
         comments = [line for line in to_dot(cube).splitlines() if "//" in line]
         assert len(comments) == 8
         assert r'  // cell "((f\\\n|f\\\n)|f\\\n)" of dimension 3: [c\,c\,c\]' in comments
+
+    def test_start_markers_are_never_cell_ids(self):
+        cells = {"__start0": (), "v": (), "___start": (), "w": ()}
+        automaton = Hda(PrecubicalSet(cells, {}), {"v", "__start0"}, set())
+        lines = to_dot(automaton).splitlines()
+        assert '  "__start0" [shape=circle];' in lines
+        markers = [line.split(" [")[0].strip() for line in lines if "shape=point" in line]
+        assert len(markers) == 2
+        assert not {marker.strip('"') for marker in markers} & set(cells)
+        starts = tuple(f"  {marker} ->" for marker in markers)
+        arrows = [line for line in lines if line.startswith(starts)]
+        assert sorted(arrow.split(" -> ")[1] for arrow in arrows) == ['"__start0";', '"v";']
+        # A single clashing vertex is never drawn as a marker either.
+        text = to_dot(Hda(PrecubicalSet({"__start0": (), "v": ()}, {}), {"v"}, set()))
+        assert '"__start0" [shape=point' not in text and '"__start0" ->' not in text
+
+    def test_square_corners_are_its_vertex_faces(self):
+        rnd = random.Random(1301)
+        automata = [grid_automaton(), tensor_power(edge_automaton("a"), 3)]
+        automata += [
+            tensor_hda(random_hda(rnd, max_vertices=3), random_hda(rnd, max_vertices=3))
+            for _ in range(10)
+        ]
+        squares = 0
+        for automaton in automata:
+            carrier = automaton.carrier
+            expected = []
+            for sid in carrier.cells_of_dim(2):
+                corners = {
+                    carrier.apply_face(sid, lower=lows, upper={1, 2} - set(lows))
+                    for lows in ([], [1], [2], [1, 2])
+                }
+                expected += [
+                    f'  "{sid}" -> "{corner}" [style=dashed, arrowhead=none];'
+                    for corner in sorted(corners)
+                ]
+                squares += 1
+            lines = to_dot(automaton).splitlines()
+            assert [line for line in lines if "style=dashed" in line] == expected
+        assert squares > 40
+
+    def test_sample_rendering_is_pinned(self):
+        automaton = tensor_hda(edge_automaton("a"), edge_automaton("b"))
+        assert to_dot(automaton) == (
+            "digraph hda {\n"
+            "  rankdir=LR;\n"
+            '  "(v0|v0)" [shape=circle];\n'
+            '  "(v0|v1)" [shape=circle];\n'
+            '  "(v1|v0)" [shape=circle];\n'
+            '  "(v1|v1)" [shape=circle, peripheries=2];\n'
+            '  "__start0" [shape=point, style=invis];\n'
+            '  "__start0" -> "(v0|v0)";\n'
+            '  "(v0|v0)" -> "(v1|v0)" [label="a"];\n'
+            '  "(v0|v1)" -> "(v1|v1)" [label="a"];\n'
+            '  "(v0|v0)" -> "(v0|v1)" [label="b"];\n'
+            '  "(v1|v0)" -> "(v1|v1)" [label="b"];\n'
+            '  "(e|e)" [shape=box, style=filled, fillcolor=lightgray, '
+            'label="(e|e): [a,b]"];\n'
+            '  "(e|e)" -> "(v0|v0)" [style=dashed, arrowhead=none];\n'
+            '  "(e|e)" -> "(v0|v1)" [style=dashed, arrowhead=none];\n'
+            '  "(e|e)" -> "(v1|v0)" [style=dashed, arrowhead=none];\n'
+            '  "(e|e)" -> "(v1|v1)" [style=dashed, arrowhead=none];\n'
+            "}\n"
+        )
 
     def test_cli_dot(self, tmp_path, capsys):
         path = write_doc(tmp_path, "x.json", hda_to_doc(edge_automaton("a")))

@@ -5,8 +5,9 @@ associative wherever both bracketings are defined and has identities on
 both sides, both compositions of languages distribute over ``union`` on
 either side, and the JSON document of an ipomset reads back as the same
 value.  Any JSON object over the document field names either parses or
-raises a ``ValueError``.  The settings come from the profile loaded in
-``conftest.py``.
+raises a ``ValueError``, and ``serialize`` writes any JSON value as
+``json.dumps(value, indent=2, sort_keys=True)`` does.  The settings come
+from the profile loaded in ``conftest.py``.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from hdalang import (
     subsumes,
     union,
 )
-from hdalang.formats import ipomset_from_doc, ipomset_to_doc, parse_document
+from hdalang.formats import ipomset_from_doc, ipomset_to_doc, parse_document, serialize
 from oracles import is_witness, naive_closure
 
 MAX_EVENTS = 5
@@ -108,6 +109,20 @@ _JSON = st.recursive(
     | _KINDS,
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_KEYS, inner, max_size=4),
     max_leaves=12,
+)
+
+# Any JSON value: big and negative ints, infinite and NaN floats, and text
+# with quotes, backslashes, control characters and non-ASCII code points.
+_TEXT = st.text(st.characters() | st.sampled_from('"\\\x00\x1f\x7f\u00e9\u2028\U0001f600'))
+_ANY_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from((-1, 2**64, -(2**70)))
+    | st.floats()
+    | _TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=20,
 )
 
 
@@ -200,6 +215,10 @@ class TestDocuments:
     @given(ipomsets())
     def test_round_trip(self, p):
         assert ipomset_from_doc(ipomset_to_doc(p)) == p
+
+    @given(_ANY_JSON)
+    def test_serialize_is_json_dumps(self, value):
+        assert serialize(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
 
     @given(documents())
     def test_malformed_documents_raise_only_value_errors(self, doc):
