@@ -25,7 +25,9 @@ one step function.  The extraction follows only *sparse* paths,
 in which up-steps and down-steps alternate: every path is equivalent to
 exactly one sparse path, with the same label (Fahrenberg, Johansen, Struth
 & Ziemiański, MSCS 2021).  It prunes the labels it reaches at each cell to
-an antichain.
+an antichain.  A step's label depends only on the label, the step's
+positions and the higher cell's word, never on the cell, so the extraction
+builds each such transition once per call and every cell shares it.
 
 Paths whose accumulated precedence contradicts the order in which
 concurrent events were started admit no canonical label; they are
@@ -372,7 +374,11 @@ def _expanded(
     A popped label with events left to start is dropped when it refines a
     label kept at the same cell; otherwise it is kept and expanded.  A
     label that has used the whole budget can only take down-steps and is
-    expanded untested.  A state is pushed at most once.
+    expanded untested.  A state is pushed at most once.  The label after a
+    step depends only on (label, positions, higher word), so each is built
+    once per call, kept in a table local to the call, and shared by every
+    cell that takes that step from an equal label; likewise each (label,
+    kept label) pair of the antichains is compared once per call.
     """
     carrier = automaton.carrier
     accept = automaton.accept
@@ -386,6 +392,17 @@ def _expanded(
     seen = set(start)
     buckets = [start]
     kept: dict[tuple[str, int, tuple[str, ...]], list[Ipomset]] = {}
+    # The label after a step, by (label, step, higher word); ``None`` when
+    # the up-step raised InternalOrderCycle.
+    table: dict[tuple[Ipomset, Step, Word], Ipomset | None] = {}
+    # Shared labels meet the same rivals at many cells.
+    below: dict[tuple[Ipomset, Ipomset], bool] = {}
+
+    def refines(low: Ipomset, high: Ipomset) -> bool:
+        pair = (low, high)
+        if pair not in below:
+            below[pair] = subsumes(low, high) is not None
+        return below[pair]
 
     pairs = 0
     while pairs < len(buckets):
@@ -400,7 +417,7 @@ def _expanded(
                 key = (cell, len(label.sources), tuple(sorted(label.labels)))
                 rivals = kept.setdefault(key, [])
                 if any(
-                    len(m.precedence) < pairs and subsumes(label, m) is not None
+                    len(m.precedence) < pairs and refines(label, m)
                     for m in rivals
                 ):
                     continue
@@ -411,18 +428,25 @@ def _expanded(
                 for step, there, word in ups[cell]:
                     if len(step.positions) > room:
                         continue
-                    try:
-                        after.append((there, _advance(label, step, word), UpStep))
-                    except InternalOrderCycle:
-                        # No canonical label exists down this branch, nor
-                        # down any extension of it; see the module docstring.
-                        continue
+                    transition = (label, step, word)
+                    if transition not in table:
+                        try:
+                            table[transition] = _advance(label, step, word)
+                        except InternalOrderCycle:
+                            # No canonical label exists down this branch, nor
+                            # down any extension of it; see the module docstring.
+                            table[transition] = None
+                    nxt = table[transition]
+                    if nxt is not None:
+                        after.append((there, nxt, UpStep))
             if came is not DownStep:
-                after += [
-                    (there, _advance(label, step, word), DownStep)
-                    for step, there, word in downs[cell]
-                    if room or there in accept
-                ]
+                for step, there, word in downs[cell]:
+                    if room or there in accept:
+                        transition = (label, step, word)
+                        nxt = table.get(transition)
+                        if nxt is None:
+                            nxt = table[transition] = _advance(label, step, word)
+                        after.append((there, nxt, DownStep))
             for state in after:
                 if state not in seen:
                     seen.add(state)
@@ -441,7 +465,9 @@ def language(automaton: Hda, max_events: int) -> Language:
     active events in word order, so cell and label determine all future
     behaviour.  Each step builds the next label in closed form with
     :func:`_advance`, whose count of events before each event is also its
-    acyclicity test; a branch with no canonical label is cut there.
+    acyclicity test; a branch with no canonical label is cut there.  That
+    label depends only on (label, positions, higher word), so each one is
+    built once per call and shared by every cell that reaches it.
     :func:`_expanded` makes three more cuts:
 
     * Sparse paths only: up- and down-steps alternate.  Two consecutive

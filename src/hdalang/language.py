@@ -32,6 +32,7 @@ from hdalang.ipomset import (
     InternalOrderCycle,
     Ipomset,
     SequentialMismatch,
+    _Key,
     _masks,
     _numbered,
     _unchecked,
@@ -89,8 +90,12 @@ def normalize(ipomsets: Iterable[Ipomset], event_bound: int | None = None) -> La
     member can only be dominated by one with strictly fewer pairs, which
     comes earlier.  Refinement is transitive, so a dominated member is
     dominated by a maximal one, and each member is tested only against the
-    generators kept so far: ``pool * generators`` calls of :func:`subsumes`
-    at most, in an order that does not depend on hashing.
+    generators kept so far with its bag of labels and interface roles,
+    which subsumption preserves: at most one call of :func:`subsumes` per
+    pair of members with the same bag.  The generators kept do not depend
+    on the input order or on hashing; how many calls a dominated member
+    takes before one hits does, as members with equal pair counts come in
+    set order.
 
     A non-interval ipomset is replaced only by the members of its ideal
     that come from inclusion-minimal refinement orders (see
@@ -111,11 +116,14 @@ def normalize(ipomsets: Iterable[Ipomset], event_bound: int | None = None) -> La
         else:
             flat |= _maximal_candidates(p)
     keep: list[Ipomset] = []
+    rivals: dict[tuple[_Key, ...], list[Ipomset]] = {}
     for p in sorted(flat, key=lambda member: len(member.precedence)):
         pairs = len(p.precedence)
+        same_bag = rivals.setdefault(_masks(p)[4], [])
         if not any(
-            len(g.precedence) < pairs and subsumes(p, g) is not None for g in keep
+            len(g.precedence) < pairs and subsumes(p, g) is not None for g in same_bag
         ):
+            same_bag.append(p)
             keep.append(p)
     return _unchecked(Language, frozenset(keep), event_bound)
 

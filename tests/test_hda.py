@@ -12,6 +12,9 @@ Core claims exercised here:
   three and more among them.
 * The step table equals an oracle that applies one elementary face at a
   time, and shares one step object per kind, position set and dimension.
+* ``language`` builds each (label, step, word) transition once per call
+  and compares each pair of labels at its antichains once, and the states
+  ``_expanded`` yields, with their order, are pinned.
 * Two consecutive steps of one kind give the same cells and label as
   their merged step, and raise exactly when it does, so ``language``
   may follow sparse paths only; it equals the normalised labels that the
@@ -29,7 +32,9 @@ Core claims exercised here:
 
 from __future__ import annotations
 
+import hashlib
 import random
+import sys
 
 import pytest
 
@@ -382,6 +387,51 @@ class TestAntichainPruning:
         cube = tensor_power(edge_automaton("a"), 4)
         _, _, reached = TestAdvance.check(cube, 4)
         assert len(list(_expanded(cube, 4))) < len(reached)
+
+
+class TestTransitionTable:
+    """``_expanded`` builds each transition and each comparison once per call."""
+
+    def test_each_transition_and_comparison_is_made_once(self, monkeypatch):
+        # Every (label, step, word) is glued once, and every (label, rival)
+        # pair of the antichain is compared once, per call.
+        module = sys.modules["hdalang.hda"]
+        calls: dict[str, list[tuple]] = {"_advance": [], "subsumes": []}
+        for name, made in calls.items():
+            real = getattr(module, name)
+
+            def counting(*args, made=made, real=real):
+                made.append(args)
+                return real(*args)
+
+            monkeypatch.setattr(module, name, counting)
+        rnd = random.Random(1415)
+        pair = [random_hda(rnd, allow_empty_marks=False) for _ in range(2)]
+        for automaton in (tensor_power(edge_automaton("a"), 4), tensor_hda(*pair)):
+            for made in calls.values():
+                made.clear()
+            language(automaton, 4)
+            assert len(calls["_advance"]) > 50
+            assert len(calls["subsumes"]) > 10
+            for made in calls.values():
+                assert len(made) == len(set(made))
+
+    def test_expanded_sequence_is_pinned(self):
+        # The states, their order and how each was reached, pinned from the
+        # exploration that glued every step afresh; no hash seed moves them.
+        rnd = random.Random(1414)
+        cases = [(grid_automaton(), 4), (tensor_power(edge_automaton("a"), 4), 4)]
+        cases += [(random_hda(rnd, allow_empty_marks=False), 4) for _ in range(3)]
+        digest = hashlib.sha256()
+        count = 0
+        for automaton, max_events in cases:
+            for cell, label, came in _expanded(automaton, max_events):
+                digest.update(repr((cell, repr(label), came and came.__name__)).encode())
+                count += 1
+        assert count == 753
+        assert digest.hexdigest() == (
+            "cf46838b27fc9bab951946d3cf6899f1b6071f14a5f27223089334c6cdbf5192"
+        )
 
 
 class TestSparsePaths:

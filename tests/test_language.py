@@ -7,7 +7,8 @@ Core claims exercised here:
   event bound.
 * ``normalize`` drops subsumed members, keeping the maxima a brute-force
   scan finds whatever the input order, with one ``subsumes`` call per
-  member against the generators kept so far; ``contains`` answers
+  member against each generator kept so far with its bag of labels and
+  interface roles; ``contains`` answers
   membership in the generated down-closure.
 * ``seq_compose``/``par_compose`` compose generator-wise,
   ``par_closure_bounded`` folds bounded parallel powers,
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import random
 import sys
+from itertools import combinations
 
 import pytest
 
@@ -51,8 +53,9 @@ from hdalang import (
     tensor_power,
     union,
 )
+from hdalang.hda import _expanded
 from hdalang.ipomset import Ipomset
-from hdalang.samples import edge_automaton
+from hdalang.samples import edge_automaton, grid_automaton
 from oracles import (
     oracle_down_set,
     oracle_extensions,
@@ -210,6 +213,41 @@ class TestNormalize:
         lang = language(tensor_power(edge_automaton("a"), 5), 5)
         assert lang.generators == frozenset({from_concurrent(["a"] * 5)})
         assert len(calls) <= 271
+
+    def test_subsumes_calls_on_mixed_bags(self, monkeypatch):
+        # Subsumption keeps each event's label and interface role, so only
+        # members with the same bag of those are ever compared.
+        pool = {
+            label
+            for automaton, bound in (
+                (grid_automaton(), 4),
+                (tensor_power(edge_automaton("a"), 3), 3),
+            )
+            for _, label, _ in _expanded(automaton, bound)
+        }
+
+        def bag(p: Ipomset) -> list[tuple[str, bool, bool]]:
+            return sorted(
+                (lab, x in p.sources, x in p.targets) for x, lab in enumerate(p.labels)
+            )
+
+        same_bag = sum(bag(p) == bag(q) for p, q in combinations(pool, 2))
+        module = sys.modules["hdalang.language"]
+        real = module.subsumes
+        calls = []
+
+        def counting(p, q):
+            calls.append((p, q))
+            return real(p, q)
+
+        monkeypatch.setattr(module, "subsumes", counting)
+        lang = normalize(pool)
+        maxima = {
+            p for p in pool if not any(q != p and oracle_subsumes(p, q) for q in pool)
+        }
+        assert lang.generators == maxima
+        assert len(maxima) < len(pool)
+        assert len(calls) <= same_bag < len(pool)
 
 
 # --- membership -------------------------------------------------------------
