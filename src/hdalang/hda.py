@@ -171,8 +171,6 @@ class Path:
         object.__setattr__(self, "steps", tuple(self.steps))
         if len(self.cells) != len(self.steps) + 1:
             raise ValueError("a path needs exactly one more cell than steps")
-        if not self.cells:
-            raise ValueError("a path visits at least one cell")
 
     @property
     def first(self) -> str:

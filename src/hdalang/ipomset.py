@@ -19,7 +19,9 @@ with the essential part of the event order.  Under that numbering every
 related pair increases, so the event order never needs to be stored -- it
 is recovered as "all index-increasing pairs that precedence leaves
 unordered".  Two canonical ipomsets are isomorphic if and only if they are
-equal, which turns structure comparison into tuple comparison.
+equal, which turns structure comparison into tuple comparison.  A
+canonical ipomset is thus raw data whose event order is the index order,
+and ``Ipomset(...)`` checks it with :func:`validate`, the one checker.
 
 The kernels work on bitmasks: each event's predecessors and successors as
 an ``int``, with its label and interface role.  The masks are derived from
@@ -133,6 +135,9 @@ class Ipomset:
     was started no later than event ``j`` whenever ``i < j`` and the two
     are precedence-incomparable.
 
+    The constructor checks that each precedence pair names an event, then
+    is :func:`validate` over the index order, with its errors and texts.
+
     Attributes:
         labels: label of each event, indexed by event number.
         precedence: transitively closed strict order; all pairs ``(i, j)``
@@ -152,34 +157,19 @@ class Ipomset:
     def __post_init__(self) -> None:
         n = len(self.labels)
         pairs = list(self.precedence)
+        # An unknown event in a pair is an EventOrderCycle here, not
+        # validate's LabelMissing.
         for a, b in pairs:
             if not (0 <= a < n and 0 <= b < n):
                 raise EventOrderCycle(
                     f"precedence pair ({a}, {b}) names an event outside 0..{n - 1}"
                 )
-        object.__setattr__(self, "labels", tuple(self.labels))
-        object.__setattr__(self, "precedence", transitive_closure(pairs))
-        object.__setattr__(self, "sources", frozenset(self.sources))
-        object.__setattr__(self, "targets", frozenset(self.targets))
-        for lab in self.labels:
-            if not isinstance(lab, str) or not lab:
-                raise LabelMissing(f"event label {lab!r} is not a non-empty string")
-        if any(a == b for a, b in self.precedence):
-            raise CycleInPrecedence("precedence has a cycle")
-        for a, b in self.precedence:
-            if not (0 <= a < b < n):
-                raise EventOrderCycle(
-                    f"precedence pair ({a}, {b}) is not index-increasing; "
-                    "the ipomset is not in canonical form"
-                )
-        for s in self.sources:
-            if any(b == s for _, b in self.precedence):
-                raise SourceNotMinimal(f"source event {s} has a predecessor")
-        for t in self.targets:
-            if any(a == t for a, _ in self.precedence):
-                raise TargetNotMaximal(f"target event {t} has a successor")
-        if not all(0 <= e < n for e in self.sources | self.targets):
-            raise LabelMissing("interface refers to an event with no label")
+        checked = validate(
+            dict(enumerate(self.labels)), pairs, combinations(range(n), 2),
+            self.sources, self.targets,
+        )
+        for name in self.__match_args__:
+            _set(self, name, getattr(checked, name))
 
     # -- derived structure --
 
@@ -219,9 +209,6 @@ class Ipomset:
             marks.append(f"{pre}{lab}{post}")
         rel = ",".join(f"{a}<{b}" for a, b in sorted(self.precedence))
         return f"Ipomset([{' '.join(marks)}]{'; ' + rel if rel else ''})"
-
-
-EMPTY: Ipomset = Ipomset((), frozenset(), frozenset(), frozenset())
 
 
 _set = object.__setattr__
@@ -323,13 +310,16 @@ def validate(
     precedence is an error.  After closure, every precedence-incomparable
     pair must be ordered by the event order in exactly one direction.
 
+    It is the one checker of the canonical form: ``Ipomset(...)`` is this
+    function with the index order as event order.
+
     Raises:
         LabelMissing: an event lacks a non-empty string label, or a
             relation/interface mentions an unknown event.
         CycleInPrecedence: precedence closes to a reflexive relation.
-        EventOrderCycle: the event order closes to a reflexive relation,
-            opposes precedence, or the union of the two cannot be
-            linearised.
+        EventOrderCycle: the event order closes to a reflexive relation
+            or opposes precedence; otherwise the union of the two is
+            always linearisable.
         EventOrderIncomplete: some incomparable pair is left unordered.
         SourceNotMinimal / TargetNotMaximal: an interface event is not
             extremal in precedence.
@@ -384,20 +374,23 @@ def validate(
         if any(a == t for a, _ in prec):
             raise TargetNotMaximal(f"target event {events[t]!r} has a successor")
 
-    # The union of ``prec`` and ``essential`` relates every pair of events
-    # exactly once.  Such a relation is acyclic exactly when the numbers of
-    # events before each event are ``0..n-1``, and that number is the
-    # event's canonical one.
+    # ``prec`` and ``order`` are acyclic, no pair of ``order`` opposes
+    # ``prec``, and each concurrent pair is in ``essential`` one way only, so
+    # ``prec`` and ``essential`` together relate every pair once: a
+    # tournament.  A 3-cycle in it would take two edges of one relation and
+    # one of the other; closing the two gives a pair that opposes the third,
+    # which has raised above.  A tournament with no 3-cycle is a linear
+    # order, and the number of events before each event is its canonical
+    # number.
     rank = [0] * n
     for _, b in prec:
         rank[b] += 1
     for _, b in essential:
         rank[b] += 1
-    if sorted(rank) != list(range(n)):
-        raise EventOrderCycle(
-            "precedence and event order cannot be linearised together"
-        )
     return _numbered([labels[e] for e in events], prec, rank, src, tgt)
+
+
+EMPTY: Ipomset = Ipomset((), frozenset(), frozenset(), frozenset())
 
 
 # --- convenience constructors -------------------------------------------------

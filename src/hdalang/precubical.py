@@ -55,7 +55,7 @@ class UnknownCell(PrecubicalError):
 
 
 class PositionOutOfRange(PrecubicalError):
-    """A face position lies outside ``1..dimension``."""
+    """A face position lies outside ``1..dimension``, or a direction outside {0, 1}."""
 
 
 class IllFormedDiagram(PrecubicalError):
@@ -223,15 +223,21 @@ def validate_precubical(
         if any(not isinstance(ell, str) or not ell for ell in word):
             problems.append(f"cell {cid!r} has a word with an invalid letter: {word}")
 
-    for (cid, nu, pos), tgt in faces.items():
+    for key, tgt in faces.items():
+        # A try costs nothing until it catches: no shape test per face.
+        try:
+            cid, nu, pos = key
+        except (TypeError, ValueError):
+            problems.append(f"face key {key!r} is not a (cell, direction, position) triple")
+            continue
         if cid not in cells:
             problems.append(f"face of unknown cell {cid!r}")
             continue
         d = len(cells[cid])
         if nu not in (0, 1):
             problems.append(f"face ({cid!r}, {nu}, {pos}) has direction outside {{0, 1}}")
-        if not 1 <= pos <= d:
-            problems.append(f"face ({cid!r}, {nu}, {pos}) position outside 1..{d}")
+        if not isinstance(pos, int) or not 1 <= pos <= d:
+            problems.append(f"face ({cid!r}, {nu}, {pos!r}) position outside 1..{d}")
             continue
         if tgt not in cells:
             problems.append(f"face ({cid!r}, {nu}, {pos}) points at unknown cell {tgt!r}")
@@ -317,14 +323,12 @@ class PrecubicalSet:
         return sorted(self.cells, key=lambda c: (len(self.cells[c]), c))
 
     def face(self, cell: str, nu: int, position: int) -> str:
-        """The elementary face; raises for bad cells or positions."""
-        if cell not in self.cells:
-            raise UnknownCell(f"no cell named {cell!r}")
-        if not 1 <= position <= self.dim(cell):
-            raise PositionOutOfRange(
-                f"position {position} outside 1..{self.dim(cell)} of cell {cell!r}"
-            )
-        return self.faces[(cell, nu, position)]
+        """The elementary face; raises for bad cells, directions or positions."""
+        if nu == 0:
+            return self.apply_face(cell, lower=(position,))
+        if nu == 1:
+            return self.apply_face(cell, upper=(position,))
+        raise PositionOutOfRange(f"direction {nu!r} outside {{0, 1}}")
 
     def apply_face(
         self, cell: str, lower: Iterable[int] = (), upper: Iterable[int] = ()

@@ -12,8 +12,10 @@ that is not transitively closed fails here.  The last tests keep
 ``assert`` out of the package, because ``python -O`` strips it, and
 ``raise AssertionError`` too, because a failure must reach the user as a
 typed error; they keep ``object.__new__``, which skips every check,
-inside the ``_unchecked`` builder; and they keep ``formats._expect`` to
-constant messages, so a document error text is formatted only on failure.
+inside the ``_unchecked`` builder; they keep ``formats._expect`` to
+constant messages, so a document error text is formatted only on failure;
+and they keep ``ipomset.validate`` the one checker of the canonical form.
+The public names in ``hdalang.__all__`` are pinned at the end.
 """
 
 from __future__ import annotations
@@ -22,6 +24,9 @@ import ast
 import pathlib
 import random
 import sys
+import types
+
+import hdalang
 
 from hdalang import (
     Hda,
@@ -364,3 +369,74 @@ class TestNoAssert:
         ]
         eager = [line for line, arg in messages if not isinstance(arg, ast.Constant)]
         assert not eager, f"_expect gets a computed message at lines {eager}"
+
+
+class TestOneIpomsetChecker:
+    def test_invariant_errors_are_raised_only_by_validate(self):
+        # ``Ipomset(...)`` checks its fields through ``validate``; only its
+        # check that each precedence pair names an event stays its own.
+        module = SRC / "ipomset.py"
+        tree = ast.parse(module.read_text(encoding="utf-8"), str(module))
+
+        def raises(node, owner):
+            """``(error name, owner)`` of each ``raise Name(...)``."""
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                owner = f"{owner}.{node.name}" if owner else node.name
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
+                if isinstance(node.exc.func, ast.Name):
+                    yield node.exc.func.id, owner
+            for child in ast.iter_child_nodes(node):
+                yield from raises(child, owner)
+
+        found = list(raises(tree, ""))
+        allowed = {
+            "LabelMissing": {"validate._idx", "validate"},
+            "CycleInPrecedence": {"validate"},
+            "SourceNotMinimal": {"validate"},
+            "TargetNotMaximal": {"validate"},
+            "EventOrderIncomplete": {"validate"},
+            "EventOrderCycle": {"validate", "Ipomset.__post_init__"},
+        }
+        for name, owners in allowed.items():
+            where = {owner for error, owner in found if error == name}
+            assert where, f"{name} is never raised"
+            assert where <= owners, f"{name} is raised in {sorted(where - owners)}"
+        constructor = [e for e, owner in found if owner == "Ipomset.__post_init__"]
+        assert constructor == ["EventOrderCycle"]
+
+
+# The public names.  A change here is an API change, listed in CHANGES.md.
+PUBLIC_API = [
+    "CofaceMap", "CycleInPrecedence", "DownStep", "EMPTY", "EventOrderCycle",
+    "EventOrderIncomplete", "Hda", "HdaMap", "IllFormedDiagram",
+    "InternalOrderCycle", "IntervalRepresentation", "Ipomset", "IpomsetError",
+    "LabelMissing", "Language", "NotInterval", "Path", "PositionOutOfRange",
+    "PrecubicalError", "PrecubicalInvariant", "PrecubicalMap", "PrecubicalSet",
+    "SequentialMismatch", "ShapeMismatch", "SourceNotMinimal", "TargetNotMaximal",
+    "TwoPlusTwoWitness", "UnknownCell", "UpStep", "all_cofaces", "compose_coface",
+    "compose_maps", "contains", "coproduct", "coproduct_hda", "elementary_coface",
+    "enumerate_accepting_paths", "ev_label", "expand", "extensions",
+    "finite_colimit", "from_chain", "from_concurrent", "glue", "identity",
+    "identity_coface", "interval_representation", "is_equal", "is_interval",
+    "is_subset", "language", "normalize", "par_closure_bounded", "par_compose",
+    "parallel", "point", "pushout_hda", "replicate", "replication_chain_prefix",
+    "restrict", "seq_compose", "start_cell_count", "subsumes", "tensor",
+    "tensor_cell_id", "tensor_coface", "tensor_hda", "tensor_power", "tensor_word",
+    "union", "unit_hda", "validate", "validate_hda_map", "validate_path",
+    "validate_precubical", "validate_precubical_map",
+]
+
+
+class TestPublicApi:
+    def test_all_is_pinned_and_resolves(self):
+        assert sorted(hdalang.__all__) == PUBLIC_API
+        missing = [name for name in PUBLIC_API if not hasattr(hdalang, name)]
+        assert not missing, f"names in __all__ that do not resolve: {missing}"
+
+    def test_language_function_does_not_hide_the_module(self):
+        # ``hdalang.language`` is the automaton function; the submodule of
+        # the same name stays importable under its own key.
+        module = sys.modules["hdalang.language"]
+        assert isinstance(module, types.ModuleType)
+        assert module.normalize is hdalang.normalize
+        assert hdalang.language is sys.modules["hdalang.hda"].language

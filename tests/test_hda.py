@@ -149,6 +149,25 @@ class TestPaths:
         with pytest.raises(ValueError):
             validate_path(x, lazy)
 
+    @pytest.mark.parametrize(
+        "cells, finished, message",
+        [
+            (("v0", "e", "e"), frozenset(), "step 1 finishes no event"),
+            (("v0", "e", "v0"), {1}, "step 1: finishing [1] in 'e' does not give 'v0'"),
+        ],
+        ids=["finishes-nothing", "wrong-cell"],
+    )
+    def test_validate_path_checks_down_steps(self, cells, finished, message):
+        broken = Path(cells=cells, steps=(UpStep({1}), DownStep(finished)))
+        with pytest.raises(ValueError) as raised:
+            validate_path(edge_automaton("a"), broken)
+        assert str(raised.value) == message
+
+    def test_path_ends(self):
+        run = Path(cells=("v0", "e", "v1"), steps=(UpStep({1}), DownStep({1})))
+        assert (run.first, run.last) == ("v0", "v1")
+        assert Path(cells=("v0",), steps=()).last == "v0"
+
     def test_path_shape_is_checked(self):
         with pytest.raises(ValueError):
             Path(cells=("v0",), steps=(UpStep({1}),))
@@ -630,6 +649,10 @@ class TestLanguage:
 
 
 class TestTensorHda:
+    def test_negative_power_is_refused(self):
+        with pytest.raises(ValueError):
+            tensor_power(edge_automaton("a"), -1)
+
     def test_markings_pair_up(self):
         t = tensor_hda(edge_automaton("a"), edge_automaton("b"))
         assert t.start == frozenset({"(v0|v0)"})

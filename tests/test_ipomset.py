@@ -245,10 +245,23 @@ class TestConstructors:
             "interface-out-of-range",
         ],
     )
-    def test_constructor_refuses_malformed_fields(self, fields, error):
+    def test_constructor_refuses_malformed_fields(self, fields, error, request):
         with pytest.raises(IpomsetError) as raised:
             Ipomset(*fields)
         assert type(raised.value) is error
+        if request.node.callspec.id == "pair-out-of-range":
+            return
+        # The constructor is ``validate`` over the index order, texts and all.
+        labels, precedence, sources, targets = fields
+        with pytest.raises(error) as again:
+            validate(
+                dict(enumerate(labels)),
+                precedence,
+                combinations(range(len(labels)), 2),
+                sources,
+                targets,
+            )
+        assert str(raised.value) == str(again.value)
 
     def test_precedence_tables_are_compact(self):
         # A frozenset built from a list or generator of 5-7 pairs may get a

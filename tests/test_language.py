@@ -342,6 +342,10 @@ class TestParCompose:
 
 
 class TestParClosure:
+    def test_negative_power_is_refused(self):
+        with pytest.raises(ValueError):
+            par_closure_bounded(normalize([point("a")]), -1)
+
     def test_zeroth_power_alone(self):
         lang = normalize([point("a")])
         got = par_closure_bounded(lang, 0)

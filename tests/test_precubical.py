@@ -116,6 +116,20 @@ class TestCofaceMap:
                 part_b=frozenset(),
             )
 
+    @pytest.mark.parametrize(
+        "image, error",
+        [((), ShapeMismatch), ((1, 2), ShapeMismatch), ((3,), PositionOutOfRange)],
+        ids=["too-short", "too-long", "outside-target"],
+    )
+    def test_image_must_fit_the_words(self, image, error):
+        with pytest.raises(error):
+            CofaceMap(("a",), ("a", "b"), image, frozenset(), frozenset())
+
+    def test_elementary_position_must_be_in_range(self):
+        for position in (0, 3):
+            with pytest.raises(PositionOutOfRange):
+                elementary_coface(("a", "b"), 0, position)
+
     def test_image_must_increase(self):
         with pytest.raises(ShapeMismatch):
             CofaceMap(
@@ -278,6 +292,52 @@ class TestValidatePrecubical:
         problems = validate_precubical({"e": ("",)}, {})
         assert problems
 
+    @pytest.mark.parametrize(
+        "cells, faces, problem",
+        [
+            ({"": ()}, {}, "cell id '' is not a non-empty string"),
+            ({7: ()}, {}, "cell id 7 is not a non-empty string"),
+            (
+                {"v0": (), "v1": (), "e": ("a",)},
+                {("e", 0, 1): "v0", ("e", 1, 1): "v1", ("ghost", 0, 1): "v0"},
+                "face of unknown cell 'ghost'",
+            ),
+            (
+                {"v0": (), "v1": (), "e": ("a",)},
+                {("e", 0, 1): "v0", ("e", 1, 1): "v1", ("e", 2, 1): "v1"},
+                "face ('e', 2, 1) has direction outside {0, 1}",
+            ),
+            (
+                {"v0": (), "v1": (), "e": ("a",)},
+                {("e", 0, 1): "v0", ("e", 1, 1): "v1", ("e", 0, 2): "v1"},
+                "face ('e', 0, 2) position outside 1..1",
+            ),
+        ],
+        ids=["empty-id", "non-string-id", "unknown-cell", "bad-direction", "bad-position"],
+    )
+    def test_reports_each_bad_cell_or_face(self, cells, faces, problem):
+        assert problem in validate_precubical(cells, faces)
+        with pytest.raises(PrecubicalInvariant):
+            PrecubicalSet(cells, faces)
+
+    @pytest.mark.parametrize(
+        "key, problem",
+        [
+            (("e", 0, "1"), "face ('e', 0, '1') position outside 1..1"),
+            (("e", 0, 1.0), "face ('e', 0, 1.0) position outside 1..1"),
+            (("v",), "face key ('v',) is not a (cell, direction, position) triple"),
+        ],
+        ids=["string-position", "float-position", "short-key"],
+    )
+    def test_malformed_face_key_is_one_violation(self, key, problem):
+        # The edge keeps both faces; ``("e", 0, 1.0)`` is equal to, and so
+        # stands for, its lower face key.
+        faces = {key: "v0", ("e", 1, 1): "v1"}
+        faces.setdefault(("e", 0, 1), "v0")
+        assert validate_precubical({"v0": (), "v1": (), "e": ("a",)}, faces) == [problem]
+        with pytest.raises(PrecubicalInvariant):
+            PrecubicalSet({"v0": (), "v1": (), "e": ("a",)}, faces)
+
 
 class TestPrecubicalSet:
     def test_cell_accessors(self):
@@ -295,6 +355,12 @@ class TestPrecubicalSet:
             x.face("ghost", 0, 1)
         with pytest.raises(PositionOutOfRange):
             x.face("sq", 0, 3)
+        with pytest.raises(PositionOutOfRange):
+            x.face("sq", 2, 1)
+
+    def test_word_of_unknown_cell(self):
+        with pytest.raises(UnknownCell):
+            square_complex().word("ghost")
 
     def test_apply_face_order_independent(self):
         x = square_complex()
@@ -344,11 +410,33 @@ class TestPrecubicalMap:
         problems = validate_precubical_map(x, x, {"v0": "v0"})
         assert problems
 
+    @pytest.mark.parametrize(
+        "extra, problem",
+        [
+            ({"ghost": "v0"}, "mapping defined on unknown cell 'ghost'"),
+            ({"v0": "ghost"}, "cell 'v0' maps to unknown cell 'ghost'"),
+        ],
+        ids=["unknown-source-cell", "unknown-image"],
+    )
+    def test_unknown_cells_checked(self, extra, problem):
+        x = edge_complex()
+        mapping = {c: c for c in x.cells} | extra
+        assert problem in validate_precubical_map(x, x, mapping)
+        with pytest.raises(PrecubicalInvariant):
+            PrecubicalMap(source=x, target=x, mapping=mapping)
+
     def test_compose_maps(self):
         x = edge_complex()
         ident = PrecubicalMap(source=x, target=x, mapping={c: c for c in x.cells})
         got = compose_maps(ident, ident)
         assert got.mapping == ident.mapping
+
+    def test_compose_maps_requires_matching_endpoints(self):
+        x, y = edge_complex("a"), edge_complex("b")
+        f = PrecubicalMap(source=x, target=x, mapping={c: c for c in x.cells})
+        g = PrecubicalMap(source=y, target=y, mapping={c: c for c in y.cells})
+        with pytest.raises(IllFormedDiagram):
+            compose_maps(g, f)
 
     def test_map_is_callable(self):
         x = edge_complex()
