@@ -27,7 +27,8 @@ exactly one sparse path, with the same label (Fahrenberg, Johansen, Struth
 & Ziemiański, MSCS 2021).  It prunes the labels it reaches at each cell to
 an antichain.  A step's label depends only on the label, the step's
 positions and the higher cell's word, never on the cell, so the extraction
-builds each such transition once per call and every cell shares it.
+builds each such transition once per call and every cell shares it.  It
+numbers each distinct label when first built and then works on numbers.
 
 Paths whose accumulated precedence contradicts the order in which
 concurrent events were started admit no canonical label; they are
@@ -45,7 +46,7 @@ from itertools import combinations
 from typing import Iterator, Mapping, Sequence
 
 from hdalang.ipomset import (
-    InternalOrderCycle, Ipomset, _glued, _unchecked, identity, subsumes,
+    InternalOrderCycle, Ipomset, _glued, _unchecked, subsumes,
 )
 from hdalang.language import Language, normalize
 from hdalang.precubical import (
@@ -241,6 +242,12 @@ def _advance(label: Ipomset, step: Step, word: Word) -> Ipomset:
     )
 
 
+def _identity(word: Word) -> Ipomset:
+    """:func:`identity` on a checked cell's word, whose letters are valid."""
+    every = frozenset(range(len(word)))
+    return _unchecked(Ipomset, word, frozenset(), every, every)
+
+
 @cache
 def _subsets(d: int) -> tuple[tuple[int, int, int, UpStep, DownStep], ...]:
     """The non-empty position sets of a ``d``-cell, as ``_step_table`` takes them.
@@ -309,7 +316,7 @@ def ev_label(automaton: Hda, path: Path) -> Ipomset:
     """
     validate_path(automaton, path)
     carrier = automaton.carrier
-    label = identity(carrier.word(path.first))
+    label = _identity(carrier.word(path.first))
     for k, step in enumerate(path.steps):
         high = path.cells[k + 1] if isinstance(step, UpStep) else path.cells[k]
         label = _advance(label, step, carrier.word(high))
@@ -374,81 +381,89 @@ def _expanded(
     label that has used the whole budget can only take down-steps and is
     expanded untested.  A state is pushed at most once.  The label after a
     step depends only on (label, positions, higher word), so each is built
-    once per call, kept in a table local to the call, and shared by every
-    cell that takes that step from an equal label; likewise each (label,
-    kept label) pair of the antichains is compared once per call.
+    once per call and shared by every cell that takes that step from an
+    equal label; likewise each (label, kept label) pair of the antichains
+    is compared once per call.  Each distinct label gets a number when it
+    is first built, which hashes it once: states, antichains, transitions
+    and comparisons go by number, so no lookup hashes a label again.
     """
     carrier = automaton.carrier
     accept = automaton.accept
     ups, downs = _step_table(carrier)
+    # A number's record: its label, size, pair count and bag, and its
+    # transitions: by (step, higher word) for an up-step, ``None`` when it
+    # raised InternalOrderCycle, and by step alone for a down-step, whose
+    # word is that of the label's targets.  Steps are shared objects.
+    numbers: dict[Ipomset, int] = {}
+    records: list[tuple[Ipomset, int, int, int, dict]] = []
+    bags: dict[tuple[int, Word], int] = {}
+
+    def number(label: Ipomset) -> int:
+        n = numbers.setdefault(label, len(records))
+        if n == len(records):
+            # Same cell, same bag of labels and sources: the targets are
+            # the cell's events, so only these can be compared.
+            bag = bags.setdefault((len(label.sources), tuple(sorted(label.labels))), len(bags))
+            records.append((label, len(label.labels), len(label.precedence), bag, {}))
+        return n
+
     # Identities have no precedence pairs.
     start = [
-        (cell, identity(carrier.word(cell)), None)
+        (cell, number(_identity(carrier.cells[cell])), None)
         for cell in sorted(automaton.start)
         if carrier.dim(cell) <= max_events
     ]
     seen = set(start)
     buckets = [start]
-    kept: dict[tuple[str, int, tuple[str, ...]], list[Ipomset]] = {}
-    # The label after a step, by (label, step, higher word); ``None`` when
-    # the up-step raised InternalOrderCycle.
-    table: dict[tuple[Ipomset, Step, Word], Ipomset | None] = {}
-    # Shared labels meet the same rivals at many cells.
-    below: dict[tuple[Ipomset, Ipomset], bool] = {}
+    kept: dict[tuple[str, int], list[int]] = {}
 
-    def refines(low: Ipomset, high: Ipomset) -> bool:
-        pair = (low, high)
-        if pair not in below:
-            below[pair] = subsumes(low, high) is not None
-        return below[pair]
+    @cache
+    def refines(low: int, high: int) -> bool:
+        # Shared labels meet the same rivals at many cells.
+        return subsumes(records[low][0], records[high][0]) is not None
 
     pairs = 0
     while pairs < len(buckets):
         bucket = buckets[pairs]
         while bucket:
             state = bucket.pop()
-            cell, label, came = state
-            room = max_events - label.size
+            cell, n, came = state
+            label, size, _, bag, moves = records[n]
+            room = max_events - size
             if room:
-                # Same cell, same bag of labels and sources: the targets
-                # are the cell's events, so only these can be compared.
-                key = (cell, len(label.sources), tuple(sorted(label.labels)))
-                rivals = kept.setdefault(key, [])
-                if any(
-                    len(m.precedence) < pairs and refines(label, m)
-                    for m in rivals
-                ):
+                rivals = kept.setdefault((cell, bag), [])
+                if rivals and any(records[m][2] < pairs and refines(n, m) for m in rivals):
                     continue
-                rivals.append(label)
-            yield state
+                rivals.append(n)
+            yield cell, label, came
             after = []
-            if came is not UpStep:
+            if came is not UpStep and room:
                 for step, there, word in ups[cell]:
                     if len(step.positions) > room:
                         continue
-                    transition = (label, step, word)
-                    if transition not in table:
+                    edge = (id(step), word)
+                    nxt = moves.get(edge, False)
+                    if nxt is False:  # not built yet
                         try:
-                            table[transition] = _advance(label, step, word)
+                            nxt = number(_advance(label, step, word))
                         except InternalOrderCycle:
                             # No canonical label exists down this branch, nor
                             # down any extension of it; see the module docstring.
-                            table[transition] = None
-                    nxt = table[transition]
+                            nxt = None
+                        moves[edge] = nxt
                     if nxt is not None:
                         after.append((there, nxt, UpStep))
             if came is not DownStep:
                 for step, there, word in downs[cell]:
                     if room or there in accept:
-                        transition = (label, step, word)
-                        nxt = table.get(transition)
+                        nxt = moves.get(id(step))
                         if nxt is None:
-                            nxt = table[transition] = _advance(label, step, word)
+                            nxt = moves[id(step)] = number(_advance(label, step, word))
                         after.append((there, nxt, DownStep))
             for state in after:
                 if state not in seen:
                     seen.add(state)
-                    more = len(state[1].precedence)
+                    more = records[state[1]][2]
                     if more >= len(buckets):
                         buckets.extend([] for _ in range(more + 1 - len(buckets)))
                     buckets[more].append(state)
@@ -465,7 +480,7 @@ def language(automaton: Hda, max_events: int) -> Language:
     :func:`_advance`, whose count of events before each event is also its
     acyclicity test; a branch with no canonical label is cut there.  That
     label depends only on (label, positions, higher word), so each one is
-    built once per call and shared by every cell that reaches it.
+    built once per call, numbered, and shared by every cell that reaches it.
     :func:`_expanded` makes three more cuts:
 
     * Sparse paths only: up- and down-steps alternate.  Two consecutive

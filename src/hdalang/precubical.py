@@ -30,8 +30,9 @@ them; only the arrows a caller hands to a colimit are checked again.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
-from typing import Iterable, Mapping, Sequence
+from functools import cache
+from itertools import chain, combinations
+from typing import Hashable, Iterable, Mapping, Sequence
 
 from hdalang.ipomset import _unchecked
 
@@ -215,16 +216,72 @@ def validate_precubical(
     cell of dimension ``d`` has all ``2 d`` elementary faces, each face has
     the word of its cell with one position deleted, and lower/upper faces
     commute per the cubical interchange law.
+
+    A fast pass accepts valid data; only when it fails do the diagnostic
+    loops run, to word each violation.
     """
+    return [] if _is_precubical(cells, faces) else _violations(cells, faces)
+
+
+def _is_precubical(cells: Mapping[str, Word], faces: Mapping[FaceKey, str]) -> bool:
+    """Whether :func:`_violations` finds nothing; ``False`` also when unsure.
+
+    It looks up each cell's ``2 d`` faces, checks their words, and then
+    checks interchange on them.  The faces found are distinct keys, so if
+    they number ``len(faces)`` and each key's position has type ``int``,
+    there is no other key: ``("e", 0, 1.0)`` would find ``("e", 0, 1)``.
+    """
+    try:
+        letters = [*chain.from_iterable(cells.values())]
+        if not (all(cells) and all(letters) and {str} >= {*map(type, cells), *map(type, letters)}):
+            return False
+        # A cell's faces in the order (0, 1), (1, 1), (0, 2), (1, 2), ...
+        near: dict[str, list[str]] = {}
+        for cid, word in cells.items():
+            row = near[cid] = []
+            for pos in range(1, len(word) + 1):
+                expected = word[: pos - 1] + word[pos:]
+                low, up = faces[(cid, 0, pos)], faces[(cid, 1, pos)]
+                if cells[low] != expected or cells[up] != expected:
+                    return False
+                row += low, up
+        if sum(map(len, near.values())) != len(faces):
+            return False
+        for row in near.values():
+            for a, b, e in _interchange(len(row) // 2):
+                if near[row[a]][b] != near[row[b]][e]:
+                    return False
+        return all(type(pos) is int for _, _, pos in faces)
+    except (KeyError, TypeError, ValueError):
+        return False
+
+
+@cache
+def _interchange(d: int) -> tuple[tuple[int, int, int], ...]:
+    """The interchange laws of a ``d``-cell, each as ``(a, b, e)``.
+
+    A cell's face ``(nu, p)`` is ``row[2 p - 2 + nu]``.  For ``i < j``,
+    deleting ``j`` then ``i`` equals deleting ``i`` then ``j - 1``, which
+    reads ``near[row[a]][b] == near[row[b]][e]``.
+    """
+    starts = combinations(range(0, 2 * d, 2), 2)
+    return tuple((j + mu, i + nu, j + mu - 2) for i, j in starts for nu in (0, 1) for mu in (0, 1))
+
+
+def _violations(cells: Mapping[str, Word], faces: Mapping[FaceKey, str]) -> list[str]:
+    """The diagnostic loops of :func:`validate_precubical`, one text per offence."""
     problems: list[str] = []
     for cid, word in cells.items():
         if not isinstance(cid, str) or not cid:
             problems.append(f"cell id {cid!r} is not a non-empty string")
-        if any(not isinstance(ell, str) or not ell for ell in word):
+        if not isinstance(word, Sequence):
+            problems.append(f"cell {cid!r} has a word that is not a sequence: {word!r}")
+        elif any(not isinstance(ell, str) or not ell for ell in word):
             problems.append(f"cell {cid!r} has a word with an invalid letter: {word}")
+    if not all(isinstance(word, Sequence) for word in cells.values()):
+        return problems  # the loops below take each word's length and slices
 
     for key, tgt in faces.items():
-        # A try costs nothing until it catches: no shape test per face.
         try:
             cid, nu, pos = key
         except (TypeError, ValueError):
@@ -239,7 +296,7 @@ def validate_precubical(
         if not isinstance(pos, int) or not 1 <= pos <= d:
             problems.append(f"face ({cid!r}, {nu}, {pos!r}) position outside 1..{d}")
             continue
-        if tgt not in cells:
+        if not isinstance(tgt, Hashable) or tgt not in cells:
             problems.append(f"face ({cid!r}, {nu}, {pos}) points at unknown cell {tgt!r}")
             continue
         word = cells[cid]
@@ -292,9 +349,9 @@ class PrecubicalSet:
     faces: dict[FaceKey, str]
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "cells", {cid: tuple(w) for cid, w in self.cells.items()}
-        )
+        # A word that is not iterable stays as it is, to be reported.
+        cells = {cid: tuple(w) if hasattr(w, "__iter__") else w for cid, w in self.cells.items()}
+        object.__setattr__(self, "cells", cells)
         object.__setattr__(self, "faces", dict(self.faces))
         problems = validate_precubical(self.cells, self.faces)
         if problems:

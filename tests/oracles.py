@@ -165,17 +165,23 @@ def oracle_witness(p: Ipomset, q: Ipomset) -> tuple[int, ...] | None:
 
 def oracle_is_interval(p: Ipomset) -> bool:
     """Interval recognition by exhaustive forbidden-suborder search."""
-    events = range(p.size)
+    return _interval_by_search(p.size, p.precedence)
+
+
+@lru_cache(maxsize=None)
+def _interval_by_search(size: int, precedence: frozenset[Pair]) -> bool:
+    """:func:`oracle_is_interval` by value: the answer depends on nothing else."""
+    events = range(size)
     for a, b in product(events, repeat=2):
-        if (a, b) not in p.precedence:
+        if (a, b) not in precedence:
             continue
         for c, d in product(events, repeat=2):
-            if (c, d) not in p.precedence:
+            if (c, d) not in precedence:
                 continue
             if {a, b} & {c, d}:
                 continue
             if all(
-                (x, y) not in p.precedence and (y, x) not in p.precedence
+                (x, y) not in precedence and (y, x) not in precedence
                 for x, y in ((a, d), (c, b))
             ):
                 return False

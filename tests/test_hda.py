@@ -14,7 +14,8 @@ Core claims exercised here:
   time, and shares one step object per kind, position set and dimension.
 * ``language`` builds each (label, step, word) transition once per call
   and compares each pair of labels at its antichains once, and the states
-  ``_expanded`` yields, with their order, are pinned.
+  ``_expanded`` yields, with their order, are pinned.  It hashes each
+  label it builds at most once, to number it.
 * Two consecutive steps of one kind give the same cells and label as
   their merged step, and raise exactly when it does, so ``language``
   may follow sparse paths only; it equals the normalised labels that the
@@ -451,6 +452,31 @@ class TestTransitionTable:
         assert digest.hexdigest() == (
             "cf46838b27fc9bab951946d3cf6899f1b6071f14a5f27223089334c6cdbf5192"
         )
+
+
+class TestNumberedLabels:
+    """``_expanded`` hashes each label it builds once, to number it."""
+
+    def test_at_most_one_hash_per_label_built(self, monkeypatch):
+        module = sys.modules["hdalang.hda"]
+        counts = {"hash": 0, "built": 0}
+        real_hash, real_advance = Ipomset.__hash__, module._advance
+
+        def counting_hash(label):
+            counts["hash"] += 1
+            return real_hash(label)
+
+        def counting_advance(*args):
+            counts["built"] += 1
+            return real_advance(*args)
+
+        automaton = tensor_power(edge_automaton("a"), 4)
+        monkeypatch.setattr(Ipomset, "__hash__", counting_hash)
+        monkeypatch.setattr(module, "_advance", counting_advance)
+        assert sum(1 for _ in _expanded(automaton, 4)) > 100
+        starts = len(automaton.start)
+        assert counts["built"] > 50
+        assert 0 < counts["hash"] <= counts["built"] + starts
 
 
 class TestSparsePaths:

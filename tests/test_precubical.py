@@ -6,7 +6,9 @@ Core claims exercised here:
   mismatched endpoints; ``all_cofaces`` enumerates exactly the
   label-preserving injections with an A/B split of the rest.
 * ``validate_precubical`` reports missing faces, shape mismatches and
-  interchange violations; well-formed data passes.
+  interchange violations; well-formed data passes.  Its fast pass never
+  accepts a corrupted carrier: each single corruption of the 4-cube, the
+  grid and random carriers gets the diagnostic loops' list.
 * ``apply_face`` is independent of the order in which positions are
   removed, because the face family satisfies the interchange law.
 * ``tensor`` multiplies cell families word-wise and refuses colliding
@@ -41,10 +43,13 @@ from hdalang import (
     tensor,
     tensor_cell_id,
     tensor_coface,
+    tensor_power,
     tensor_word,
     validate_precubical,
     validate_precubical_map,
 )
+from hdalang.precubical import _is_precubical, _violations
+from hdalang.samples import edge_automaton, grid_automaton
 from oracles import random_hda
 
 
@@ -337,6 +342,75 @@ class TestValidatePrecubical:
         assert validate_precubical({"v0": (), "v1": (), "e": ("a",)}, faces) == [problem]
         with pytest.raises(PrecubicalInvariant):
             PrecubicalSet({"v0": (), "v1": (), "e": ("a",)}, faces)
+
+    @pytest.mark.parametrize(
+        "cells, faces, problem",
+        [
+            ({"e": 5}, {}, "cell 'e' has a word that is not a sequence: 5"),
+            ({"e": None}, {}, "cell 'e' has a word that is not a sequence: None"),
+            (
+                {"v": (), "e": ("a",)},
+                {("e", 0, 1): ["v"], ("e", 1, 1): "v"},
+                "face ('e', 0, 1) points at unknown cell ['v']",
+            ),
+        ],
+        ids=["int-word", "none-word", "unhashable-target"],
+    )
+    def test_unusable_word_or_target_is_a_violation(self, cells, faces, problem):
+        assert validate_precubical(cells, faces) == [problem]
+        with pytest.raises(PrecubicalInvariant) as raised:
+            PrecubicalSet(cells, faces)
+        assert raised.value.violations == (problem,)
+
+
+def corruptions(carrier: PrecubicalSet):
+    """Each single corruption of a valid carrier, as ``(kind, cells, faces)``.
+
+    Kinds: a face deleted; a face retargeted to a cell of another word;
+    the lower and upper faces at one position swapped, which breaks
+    interchange unless the two are equal or no coface sees them; one
+    letter emptied; a face key replaced by its float-position twin, which
+    is equal to it as a dict key.
+    """
+    cells, faces = carrier.cells, carrier.faces
+    for key, target in faces.items():
+        yield "delete", cells, {k: v for k, v in faces.items() if k != key}
+        wrong = next((c for c in sorted(cells) if cells[c] != cells[target]), None)
+        if wrong is not None:
+            yield "retarget", cells, {**faces, key: wrong}
+        cid, nu, pos = key
+        twin = (cid, nu, float(pos))
+        yield "float-twin", cells, {twin if k == key else k: v for k, v in faces.items()}
+        if nu == 0 and faces[(cid, 1, pos)] != target:
+            yield "swap", cells, {**faces, key: faces[(cid, 1, pos)], (cid, 1, pos): target}
+    for cid, word in cells.items():
+        for k in range(len(word)):
+            yield "empty-letter", {**cells, cid: word[:k] + ("",) + word[k + 1 :]}, faces
+
+
+class TestFastPass:
+    """The fast pass of ``validate_precubical`` never accepts a bad carrier."""
+
+    def test_each_corruption_gets_the_diagnostic_list(self):
+        rnd = random.Random(1602)
+        carriers = [tensor_power(edge_automaton("a"), 4).carrier, grid_automaton().carrier]
+        carriers += [random_hda(rnd).carrier for _ in range(20)]
+        made: dict[str, int] = {}
+        broken_swaps = 0
+        for carrier in carriers:
+            assert _is_precubical(carrier.cells, carrier.faces)
+            for kind, cells, faces in corruptions(carrier):
+                problems = _violations(cells, faces)
+                assert validate_precubical(cells, faces) == problems
+                made[kind] = made.get(kind, 0) + 1
+                if kind == "swap":
+                    broken_swaps += bool(problems)
+                else:
+                    assert problems, kind
+        assert min(made.values()) > 100
+        assert len(made) == 5
+        # Each of the 4-cube's 108 swaps breaks interchange somewhere.
+        assert broken_swaps >= 108
 
 
 class TestPrecubicalSet:
