@@ -63,14 +63,13 @@ from hdalang.hda import (
 from hdalang.ipomset import (
     IntervalRepresentation,
     Ipomset,
-    IpomsetError,
     glue,
     interval_representation,
     parallel,
     subsumes,
 )
-from hdalang.language import NotInterval, expand, par_closure_bounded
-from hdalang.precubical import PrecubicalError, PrecubicalInvariant
+from hdalang.language import expand, par_closure_bounded
+from hdalang.precubical import PrecubicalInvariant
 
 
 class _DomainFailure(Exception):
@@ -254,7 +253,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (DocumentError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (_DomainFailure, IpomsetError, PrecubicalError, NotInterval, ValueError) as exc:
+    except (_DomainFailure, ValueError) as exc:
         sys.stdout.write(serialize(_domain_record(exc)))
         return 1
     if not args.out:

@@ -46,7 +46,7 @@ from itertools import combinations
 from typing import Iterator, Mapping, Sequence
 
 from hdalang.ipomset import (
-    InternalOrderCycle, Ipomset, _glued, _unchecked, subsumes,
+    InternalOrderCycle, Ipomset, _glued, _unchecked, identity, subsumes,
 )
 from hdalang.language import Language, normalize
 from hdalang.precubical import (
@@ -242,12 +242,6 @@ def _advance(label: Ipomset, step: Step, word: Word) -> Ipomset:
     )
 
 
-def _identity(word: Word) -> Ipomset:
-    """:func:`identity` on a checked cell's word, whose letters are valid."""
-    every = frozenset(range(len(word)))
-    return _unchecked(Ipomset, word, frozenset(), every, every)
-
-
 @cache
 def _subsets(d: int) -> tuple[tuple[int, int, int, UpStep, DownStep], ...]:
     """The non-empty position sets of a ``d``-cell, as ``_step_table`` takes them.
@@ -316,7 +310,7 @@ def ev_label(automaton: Hda, path: Path) -> Ipomset:
     """
     validate_path(automaton, path)
     carrier = automaton.carrier
-    label = _identity(carrier.word(path.first))
+    label = identity(carrier.word(path.first))
     for k, step in enumerate(path.steps):
         high = path.cells[k + 1] if isinstance(step, UpStep) else path.cells[k]
         label = _advance(label, step, carrier.word(high))
@@ -409,7 +403,7 @@ def _expanded(
 
     # Identities have no precedence pairs.
     start = [
-        (cell, number(_identity(carrier.cells[cell])), None)
+        (cell, number(identity(carrier.cells[cell])), None)
         for cell in sorted(automaton.start)
         if carrier.dim(cell) <= max_events
     ]

@@ -27,6 +27,8 @@ The kernels work on bitmasks: each event's predecessors and successors as
 an ``int``, with its label and interface role.  The masks are derived from
 the stored fields on first use and kept on the instance; the stored fields,
 equality, hashing and every output are those of the canonical form above.
+The checker works on masks too: :func:`validate` closes both raw relations
+into them, and checks and numbers on them.
 
 The module provides:
 
@@ -46,6 +48,7 @@ The module provides:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Hashable, Iterable, Mapping, Sequence, TypeVar
 
@@ -95,31 +98,46 @@ class InternalOrderCycle(IpomsetError):
 # --- relation helpers -------------------------------------------------------
 
 
-def transitive_closure(pairs: Iterable[Pair]) -> frozenset[Pair]:
-    """Return the transitive closure of a binary relation on integers ≥ 0.
+@lru_cache(maxsize=1 << 12)
+def _members(mask: int) -> tuple[int, ...]:
+    """The events whose bits are set in ``mask``, in ascending order.
 
-    Warshall's algorithm on successor bitmasks: for each event ``k`` in
-    turn, every event that reaches ``k`` also reaches ``k``'s successors.
-    The closure may be reflexive; callers decide whether that is an error.
+    It is the package's one walk over the bits of a mask.  Cached:
+    relations on a few events give few distinct masks, and the refinement
+    growth in :mod:`hdalang.language` walks the same ones in every branch.
     """
-    succ: dict[int, int] = {}
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+def _closed(n: int, pairs: Iterable[Pair]) -> tuple[list[int], list[int]]:
+    """The transitive closure of a relation on ``0..n-1``, as bitmasks.
+
+    Returns ``(succ, pred)``: bit ``b`` of ``succ[a]`` and bit ``a`` of
+    ``pred[b]`` are set when the closure holds ``(a, b)``.  Warshall's
+    algorithm on successor masks: for each event ``k`` in turn, every
+    event that reaches ``k`` also reaches ``k``'s successors.  The closure
+    may be reflexive (bit ``x`` of ``succ[x]``); callers decide whether
+    that is an error.
+    """
+    succ = [0] * n
     for a, b in pairs:
-        succ[a] = succ.get(a, 0) | 1 << b
-    for k, via in succ.items():
-        bit = 1 << k
-        for a, outs in succ.items():
-            if outs & bit:
-                succ[a] = outs | via
-    # Collected in a set: a frozenset copied from a set gets a table sized
-    # to its contents, one built from a list or generator may get one
-    # twice as large.
-    closed = set()
-    for a, outs in succ.items():
-        while outs:
-            bit = outs & -outs
-            closed.add((a, bit.bit_length() - 1))
-            outs ^= bit
-    return frozenset(closed)
+        succ[a] |= 1 << b
+    for k, via in enumerate(succ):
+        if via:
+            bit = 1 << k
+            for a, outs in enumerate(succ):
+                if outs & bit:
+                    succ[a] = outs | via
+    pred = [0] * n
+    for a, outs in enumerate(succ):
+        for b in _members(outs):
+            pred[b] |= 1 << a
+    return succ, pred
 
 
 # --- canonical representation ------------------------------------------------
@@ -193,13 +211,11 @@ class Ipomset:
 
     def predecessors(self, event: int) -> frozenset[int]:
         """Strict precedence-predecessors of ``event``."""
-        mask = _masks(self)[0][event]
-        return frozenset(a for a in range(self.size) if mask >> a & 1)
+        return frozenset(_members(_masks(self)[0][event]))
 
     def successors(self, event: int) -> frozenset[int]:
         """Strict precedence-successors of ``event``."""
-        mask = _masks(self)[1][event]
-        return frozenset(b for b in range(self.size) if mask >> b & 1)
+        return frozenset(_members(_masks(self)[1][event]))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         marks = []
@@ -267,22 +283,25 @@ def _masks(p: Ipomset) -> _Masks:
 
 def _numbered(
     labels: Sequence[str],
-    prec: Iterable[Pair],
+    pred: Sequence[int],
     rank: Sequence[int],
     sources: Iterable[int],
     targets: Iterable[int],
 ) -> Ipomset:
     """The ipomset with event ``x`` renumbered ``rank[x]``.
 
-    ``rank`` must be a permutation of ``0..n-1`` that makes every pair of
-    ``prec`` increasing, and the interfaces must be extremal in ``prec``.
-    The pairs go through a set for the table size, as in
-    :func:`transitive_closure`.
+    ``pred[x]`` masks ``x``'s predecessors in a strict order, ``rank``
+    must be a permutation of ``0..n-1`` that makes every pair of that order
+    increasing, and the interfaces must be extremal in it.  The pairs go
+    through a set: a frozenset copied from one gets a table sized to its
+    contents, one built from a generator may get one twice as large.
     """
     return _unchecked(
         Ipomset,
         tuple(labels[x] for x in sorted(range(len(labels)), key=rank.__getitem__)),
-        frozenset({(rank[a], rank[b]) for a, b in prec}),
+        frozenset(
+            {(rank[a], rank[b]) for b, mask in enumerate(pred) for a in _members(mask)}
+        ),
         frozenset(rank[s] for s in sources),
         frozenset(rank[t] for t in targets),
     )
@@ -311,7 +330,11 @@ def validate(
     pair must be ordered by the event order in exactly one direction.
 
     It is the one checker of the canonical form: ``Ipomset(...)`` is this
-    function with the index order as event order.
+    function with the index order as event order.  It closes both
+    relations into per-event masks (:func:`_closed`), on which every check
+    and the numbering work.  The checks run in the order listed below; of
+    several pairs opposing precedence, the least one by event index
+    (``labels`` order), first event then second, is named.
 
     Raises:
         LabelMissing: an event lacks a non-empty string label, or a
@@ -337,57 +360,52 @@ def validate(
             raise LabelMissing(f"{role} mentions unknown event {e!r}")
         return index[e]
 
-    prec_pairs = {( _idx(a, "precedence"), _idx(b, "precedence")) for a, b in precedence}
-    order_pairs = {(_idx(a, "event order"), _idx(b, "event order")) for a, b in event_order}
+    # Both relations are indexed before either is closed: unknown events first.
+    prec_pairs = [(_idx(a, "precedence"), _idx(b, "precedence")) for a, b in precedence]
+    order_pairs = [(_idx(a, "event order"), _idx(b, "event order")) for a, b in event_order]
 
-    prec = transitive_closure(prec_pairs)
-    if any(a == b for a, b in prec):
+    succ, pred = _closed(n, prec_pairs)
+    if any(outs >> x & 1 for x, outs in enumerate(succ)):
         raise CycleInPrecedence("precedence has a cycle")
 
-    order = transitive_closure(order_pairs)
-    if any(a == b for a, b in order):
+    later, earlier = _closed(n, order_pairs)
+    if any(outs >> x & 1 for x, outs in enumerate(later)):
         raise EventOrderCycle("event order has a cycle")
-    for a, b in order:
-        if (b, a) in prec:
+    for a in range(n):
+        against = _members(later[a] & pred[a])
+        if against:
             raise EventOrderCycle(
-                f"event order puts {events[a]!r} before {events[b]!r} "
+                f"event order puts {events[a]!r} before {events[against[0]]!r} "
                 "against their precedence"
             )
 
-    # The essential event order: only pairs precedence leaves unordered.
-    essential = frozenset((a, b) for a, b in order if (a, b) not in prec)
-    for i, j in combinations(range(n), 2):
-        if (i, j) in prec or (j, i) in prec:
-            continue
-        if (i, j) not in essential and (j, i) not in essential:
+    for i in range(n):
+        loose = _members((1 << n) - (2 << i) & ~(succ[i] | pred[i] | later[i] | earlier[i]))
+        if loose:
             raise EventOrderIncomplete(
-                f"events {events[i]!r} and {events[j]!r} are concurrent "
+                f"events {events[i]!r} and {events[loose[0]]!r} are concurrent "
                 "but the event order does not relate them"
             )
 
     src = {_idx(e, "sources") for e in sources}
     tgt = {_idx(e, "targets") for e in targets}
     for s in src:
-        if any(b == s for _, b in prec):
+        if pred[s]:
             raise SourceNotMinimal(f"source event {events[s]!r} has a predecessor")
     for t in tgt:
-        if any(a == t for a, _ in prec):
+        if succ[t]:
             raise TargetNotMaximal(f"target event {events[t]!r} has a successor")
 
-    # ``prec`` and ``order`` are acyclic, no pair of ``order`` opposes
-    # ``prec``, and each concurrent pair is in ``essential`` one way only, so
-    # ``prec`` and ``essential`` together relate every pair once: a
+    # Both relations are acyclic, no event-order pair opposes precedence,
+    # and each concurrent pair is in the event order one way only, so
+    # precedence and the rest of the event order relate every pair once: a
     # tournament.  A 3-cycle in it would take two edges of one relation and
     # one of the other; closing the two gives a pair that opposes the third,
     # which has raised above.  A tournament with no 3-cycle is a linear
-    # order, and the number of events before each event is its canonical
-    # number.
-    rank = [0] * n
-    for _, b in prec:
-        rank[b] += 1
-    for _, b in essential:
-        rank[b] += 1
-    return _numbered([labels[e] for e in events], prec, rank, src, tgt)
+    # order, and the events before each event (predecessors, or earlier in
+    # the event order) number it.
+    rank = [(pred[x] | earlier[x]).bit_count() for x in range(n)]
+    return _numbered([labels[e] for e in events], pred, rank, src, tgt)
 
 
 EMPTY: Ipomset = Ipomset((), frozenset(), frozenset(), frozenset())
@@ -440,9 +458,14 @@ def identity(labels: Sequence[str]) -> Ipomset:
 
     Gluing with an identity on either side leaves a matching ipomset
     unchanged; these are the labels of zero-length automaton paths.
+    A word of non-empty strings is built unchecked; any other goes through
+    ``Ipomset(...)``, which refuses it with :func:`validate`'s error.
     """
-    every = frozenset(range(len(labels)))
-    return Ipomset(tuple(labels), frozenset(), every, every)
+    word = tuple(labels)
+    every = frozenset(range(len(word)))
+    if all(isinstance(letter, str) and letter for letter in word):
+        return _unchecked(Ipomset, word, frozenset(), every, every)
+    return Ipomset(word, frozenset(), every, every)
 
 
 # --- subsumption ---------------------------------------------------------------
@@ -487,14 +510,10 @@ def subsumes(p: Ipomset, q: Ipomset) -> tuple[int, ...] | None:
     domains = []
     for x in range(n):
         below, above = p_pred[x].bit_count(), p_succ[x].bit_count()
-        pool = q_pools.get(p_keys[x], 0)
         domain = 0
-        while pool:
-            bit = pool & -pool
-            pool ^= bit
-            u = bit.bit_length() - 1
+        for u in _members(q_pools.get(p_keys[x], 0)):
             if q_pred[u].bit_count() <= below and q_succ[u].bit_count() <= above:
-                domain |= bit
+                domain |= 1 << u
         if not domain:
             return None
         domains.append(domain)
@@ -509,11 +528,8 @@ def subsumes(p: Ipomset, q: Ipomset) -> tuple[int, ...] | None:
             1 if after >> z & 1 else 2 if before >> z & 1 else 0
             for z in range(x + 1, n)
         ]
-        candidates = rest[0]
-        while candidates:
-            bit = candidates & -candidates
-            candidates ^= bit
-            u = bit.bit_length() - 1
+        for u in _members(rest[0]):
+            bit = 1 << u
             # What a later z may map to, by its relation to x: concurrent
             # (0) with u and above it, no q-predecessor of u when x precedes
             # z (1), no q-successor of u when z precedes x (2); never u.
@@ -609,9 +625,9 @@ def _two_plus_two(pred: Sequence[int], first: int, second: int) -> TwoPlusTwoWit
     """
     first_only, second_only = first & ~second, second & ~first
     return TwoPlusTwoWitness(
-        first_low=(first_only & -first_only).bit_length() - 1,
+        first_low=_members(first_only)[0],
         first_high=pred.index(first),
-        second_low=(second_only & -second_only).bit_length() - 1,
+        second_low=_members(second_only)[0],
         second_high=pred.index(second),
     )
 

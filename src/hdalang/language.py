@@ -23,7 +23,6 @@ members that come from inclusion-minimal orders.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 from typing import Iterable
 
@@ -34,6 +33,7 @@ from hdalang.ipomset import (
     SequentialMismatch,
     _Key,
     _masks,
+    _members,
     _numbered,
     _unchecked,
     glue,
@@ -248,20 +248,6 @@ def is_equal(first: Language, second: Language) -> bool:
 # --- expansion ----------------------------------------------------------------
 
 
-@lru_cache(maxsize=1 << 12)
-def _members(mask: int) -> tuple[int, ...]:
-    """The events whose bits are set in ``mask``, in ascending order.
-
-    Cached: the growth below walks the same few masks in every branch.
-    """
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
-
-
 _Order = tuple[tuple[int, ...], tuple[int, ...]]
 
 
@@ -390,8 +376,7 @@ def _refinement(q: Ipomset, order: _Order) -> Ipomset:
         pred[x].bit_count() + ((1 << x) - 1 & ~(pred[x] | succ[x])).bit_count()
         for x in range(q.size)
     ]
-    pairs = [(a, b) for b, mask in enumerate(pred) for a in _members(mask)]
-    return _numbered(q.labels, pairs, rank, q.sources, q.targets)
+    return _numbered(q.labels, pred, rank, q.sources, q.targets)
 
 
 def _maximal_candidates(q: Ipomset) -> set[Ipomset]:

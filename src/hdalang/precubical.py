@@ -299,12 +299,13 @@ def _violations(cells: Mapping[str, Word], faces: Mapping[FaceKey, str]) -> list
         if not isinstance(tgt, Hashable) or tgt not in cells:
             problems.append(f"face ({cid!r}, {nu}, {pos}) points at unknown cell {tgt!r}")
             continue
-        word = cells[cid]
+        # As tuples, as ``PrecubicalSet`` stores words: any sequence slices.
+        word, found = tuple(cells[cid]), tuple(cells[tgt])
         expected = word[: pos - 1] + word[pos:]
-        if cells[tgt] != expected:
+        if found != expected:
             problems.append(
                 f"face ({cid!r}, {nu}, {pos}) should have word {expected} "
-                f"but {tgt!r} has {cells[tgt]}"
+                f"but {tgt!r} has {found}"
             )
 
     for cid, word in cells.items():

@@ -1,8 +1,10 @@
 """Independent oracles and generators for the test suite.
 
 Everything here recomputes expected values by a route different from the
-implementation under test: subsumption and its least witness by brute
-force over all event bijections, interval recognition by searching for a
+implementation under test: the checks and numbering of raw ipomset data
+with a naive closure and counting, subsumption by brute force over the
+bijections that keep labels and interface roles and its least witness
+over all event bijections, interval recognition by searching for a
 forbidden suborder, principal ideals by filtering every strict order,
 sequential composition by naive relation-building over tagged event
 names, step tables by applying one elementary face at a time, accepting
@@ -50,9 +52,12 @@ def natural_orders(n: int) -> list[frozenset[Pair]]:
     return out
 
 
-def universe(n: int, alphabet: str = "ab") -> list[Ipomset]:
-    """Every canonical ipomset with exactly ``n`` events over ``alphabet``."""
-    out: list[Ipomset] = []
+def raw_universe(n: int, alphabet: str = "ab") -> Iterator[tuple]:
+    """The fields of every canonical ipomset with ``n`` events over ``alphabet``.
+
+    Each is ``(labels, precedence, sources, targets)``, as ``Ipomset(...)``
+    takes and stores them.
+    """
     for order in natural_orders(n):
         minimal = [e for e in range(n) if not any(b == e for _, b in order)]
         maximal = [e for e in range(n) if not any(a == e for a, _ in order)]
@@ -65,8 +70,12 @@ def universe(n: int, alphabet: str = "ab") -> list[Ipomset]:
         for labels in product(alphabet, repeat=n):
             for src in sources:
                 for tgt in targets:
-                    out.append(Ipomset(tuple(labels), order, src, tgt))
-    return out
+                    yield tuple(labels), order, src, tgt
+
+
+def universe(n: int, alphabet: str = "ab") -> list[Ipomset]:
+    """Every canonical ipomset with exactly ``n`` events over ``alphabet``."""
+    return [Ipomset(*raw) for raw in raw_universe(n, alphabet)]
 
 
 def universe_up_to(n: int, alphabet: str = "ab") -> list[Ipomset]:
@@ -77,55 +86,127 @@ def universe_up_to(n: int, alphabet: str = "ab") -> list[Ipomset]:
     return out
 
 
+# --- independent checking of raw data -----------------------------------------
+
+
+def oracle_validate(labels: dict, precedence=(), event_order=(), sources=(), targets=()):
+    """What ``validate`` gives on raw data: an error name or the plain fields.
+
+    The checks run in ``validate``'s documented order: labels, the events
+    both relations name, a precedence cycle, an event-order cycle, an
+    event-order pair against precedence, a concurrent pair the event order
+    leaves unrelated, the events the interfaces name, a source with a
+    predecessor and a target with a successor.  Relations are closed with
+    :func:`naive_closure`.  A valid input is numbered by each event's count
+    of predecessors in the closed union of the two relations and returned
+    as ``(labels, precedence, sources, targets)``, all sorted tuples but
+    the labels.  The first offence found gives the name of the error.
+    """
+    events = list(labels)
+    if any(not isinstance(labels[e], str) or not labels[e] for e in events):
+        return "LabelMissing"
+    precedence, event_order = list(precedence), list(event_order)
+    if any(e not in labels for pair in precedence + event_order for e in pair):
+        return "LabelMissing"
+    prec = naive_closure(frozenset(precedence))
+    if any(a == b for a, b in prec):
+        return "CycleInPrecedence"
+    order = naive_closure(frozenset(event_order))
+    if any(a == b for a, b in order) or any((b, a) in prec for a, b in order):
+        return "EventOrderCycle"
+    for a, b in combinations(events, 2):
+        if not {(a, b), (b, a)} & (prec | order):
+            return "EventOrderIncomplete"
+    sources, targets = set(sources), set(targets)
+    if not sources | targets <= set(events):
+        return "LabelMissing"
+    if any(b in sources for _, b in prec):
+        return "SourceNotMinimal"
+    if any(a in targets for a, _ in prec):
+        return "TargetNotMaximal"
+    union = naive_closure(prec | order)
+    rank = {e: sum(1 for _, b in union if b == e) for e in events}
+    return (
+        tuple(labels[e] for e in sorted(events, key=rank.__getitem__)),
+        tuple(sorted((rank[a], rank[b]) for a, b in prec)),
+        tuple(sorted(rank[s] for s in sources)),
+        tuple(sorted(rank[t] for t in targets)),
+    )
+
+
+def small_raw_inputs(n: int) -> Iterator[tuple]:
+    """Every raw input for ``validate`` on the first ``n`` of the events ``x``, ``y``.
+
+    Labels are ``"a"``, ``"b"`` or the empty string.  Each relation is any
+    set of pairs of events, self-loops included, or one pair with the
+    unknown event ``"g"``; each interface is any set of events, or
+    ``{"g"}``.
+    """
+    names = "xy"[:n]
+    pairs = [(a, b) for a in names for b in names]
+    relations = [
+        [pair for k, pair in enumerate(pairs) if bits >> k & 1]
+        for bits in range(1 << len(pairs))
+    ]
+    relations += [[("g", name)] for name in names]
+    interfaces = [list(c) for r in range(n + 1) for c in combinations(names, r)] + [["g"]]
+    for letters in product(("a", "b", ""), repeat=n):
+        labels = dict(zip(names, letters))
+        for prec, order in product(relations, repeat=2):
+            for src, tgt in product(interfaces, repeat=2):
+                yield labels, prec, order, src, tgt
+
+
 # --- independent subsumption -------------------------------------------------
 
 
 def oracle_subsumes(p: Ipomset, q: Ipomset) -> bool:
-    """Brute-force subsumption check over all event bijections.
+    """Brute-force subsumption check over the bijections that can be witnesses.
 
-    Tries every permutation as the witness and checks the definition
-    directly: labels and interfaces preserved, precedence reflected, and
-    the event order preserved on pairs concurrent on both sides.  In the
-    canonical encoding the event order of concurrent events is their
-    index order.
+    Tries as the witness every bijection that maps each event to one with
+    the same label and interface role, a product of permutations within
+    each such class, and checks the definition on each with
+    :func:`is_witness`: labels and interfaces preserved, precedence
+    reflected, and the event order preserved on pairs concurrent on both
+    sides.  Every other bijection breaks the first two conditions.
     """
-    n = p.size
-    if n != q.size:
-        return False
-    for perm in permutations(range(n)):
-        if any(p.labels[x] != q.labels[perm[x]] for x in range(n)):
-            continue
-        if {perm[s] for s in p.sources} != set(q.sources):
-            continue
-        if {perm[t] for t in p.targets} != set(q.targets):
-            continue
-        good = True
-        for x in range(n):
-            for y in range(n):
-                if x == y:
-                    continue
-                u, v = perm[x], perm[y]
-                if (u, v) in q.precedence and (x, y) not in p.precedence:
-                    good = False
-                    break
-                p_conc = (x, y) not in p.precedence and (y, x) not in p.precedence
-                q_conc = (u, v) not in q.precedence and (v, u) not in q.precedence
-                if p_conc and q_conc and x < y and not u < v:
-                    good = False
-                    break
-            if not good:
-                break
-        if good:
-            return True
-    return False
+    return any(is_witness(p, q, f) for f in _role_bijections(p, q))
+
+
+def _role_bijections(p: Ipomset, q: Ipomset) -> Iterator[tuple[int, ...]]:
+    """Every bijection ``f`` from ``p``'s events to ``q``'s that keeps roles.
+
+    An event's role is its label and whether it is a source and a target;
+    ``f[x]`` is the image of ``x``.  There is none when the two ipomsets
+    have different numbers of events of some role.
+    """
+
+    def classes(r: Ipomset) -> dict[tuple, list[int]]:
+        out: dict[tuple, list[int]] = {}
+        for x, label in enumerate(r.labels):
+            out.setdefault((label, x in r.sources, x in r.targets), []).append(x)
+        return out
+
+    mine, theirs = classes(p), classes(q)
+    if {role: len(xs) for role, xs in mine.items()} != {
+        role: len(us) for role, us in theirs.items()
+    }:
+        return
+    roles = list(mine)
+    for images in product(*(permutations(theirs[role]) for role in roles)):
+        f = [0] * p.size
+        for role, image in zip(roles, images):
+            for x, u in zip(mine[role], image):
+                f[x] = u
+        yield tuple(f)
 
 
 def is_witness(p: Ipomset, q: Ipomset, f: tuple[int, ...]) -> bool:
     """Whether ``f`` (``f[x]`` the image of ``x``) shows that ``p`` refines ``q``.
 
-    Checks the definition directly, as :func:`oracle_subsumes` does: ``f``
-    is a bijection that keeps labels and both interfaces, reflects
-    precedence, and keeps the index order of pairs concurrent on both sides.
+    Checks the definition directly: ``f`` is a bijection that keeps labels
+    and both interfaces, reflects precedence, and keeps the index order of
+    pairs concurrent on both sides.
     """
     n = p.size
     if n != q.size or sorted(f) != list(range(n)):
@@ -466,6 +547,35 @@ def random_ipomset(rnd: random.Random, max_events: int, alphabet: str = "ab") ->
         frozenset(e for e in minimal if rnd.random() < 0.4),
         frozenset(e for e in maximal if rnd.random() < 0.4),
     )
+
+
+def random_raw(rnd: random.Random, max_events: int) -> tuple:
+    """Random raw data for ``validate`` on up to ``max_events`` events.
+
+    Precedence is drawn along a hidden linear order and the event order is
+    a chain along that order or along a random one, so valid inputs are
+    common.  Some inputs are spoiled: an empty or non-string label, event
+    order pairs dropped, random pairs added (self-loops and the unknown
+    event ``"g"`` included), or an interface event that is not extremal.
+    """
+    n = rnd.randint(0, max_events)
+    names = [f"e{x}" for x in rnd.sample(range(10), n)]
+    labels = {e: rnd.choice("ab") for e in names}
+    if names and rnd.random() < 0.05:
+        labels[rnd.choice(names)] = rnd.choice(["", 3])
+    pool = names + ["g"] * (rnd.random() < 0.1)
+    hidden = rnd.sample(names, n)
+    density = rnd.random() * 0.6
+    prec = [(a, b) for a, b in combinations(hidden, 2) if rnd.random() < density]
+    line = hidden if rnd.random() < 0.5 else rnd.sample(names, n)
+    order = [pair for pair in zip(line, line[1:]) if rnd.random() < 0.95]
+    for relation in (prec, order):
+        if pool and rnd.random() < 0.2:
+            relation.append((rnd.choice(pool), rnd.choice(pool)))
+        rnd.shuffle(relation)
+    sources = [e for e in pool if rnd.random() < 0.2]
+    targets = [e for e in pool if rnd.random() < 0.2]
+    return labels, prec, order, sources, targets
 
 
 def random_hda(

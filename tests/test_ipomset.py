@@ -51,8 +51,12 @@ from oracles import (
     oracle_glue,
     oracle_is_interval,
     oracle_subsumes,
+    oracle_validate,
     precedence_signature,
     random_ipomset,
+    random_raw,
+    raw_universe,
+    small_raw_inputs,
     universe,
     universe_up_to,
 )
@@ -134,6 +138,19 @@ class TestValidate:
         with pytest.raises(EventOrderCycle):
             validate({"x": "a", "y": "a"}, [("x", "y")], [("y", "x")], [], [])
 
+    def test_opposing_pairs_name_the_least_one(self):
+        # Both (z, x) and (y, x) oppose precedence; the least pair by event
+        # index, first event then second, is (y, x).
+        with pytest.raises(EventOrderCycle) as raised:
+            validate(
+                {"x": "a", "y": "a", "z": "a"},
+                [("x", "y"), ("x", "z")],
+                [("z", "x"), ("y", "x")],
+            )
+        assert str(raised.value) == (
+            "event order puts 'y' before 'x' against their precedence"
+        )
+
     def test_event_order_incomplete(self):
         with pytest.raises(EventOrderIncomplete):
             validate({"x": "a", "y": "a"}, [], [], [], [])
@@ -162,6 +179,47 @@ class TestValidate:
                 [],
                 [],
             )
+
+
+def _outcome(raw: tuple):
+    """``validate`` on raw data, in :func:`oracle_validate`'s terms."""
+    try:
+        p = validate(*raw)
+    except IpomsetError as exc:
+        return type(exc).__name__
+    return (p.labels, *(tuple(sorted(f)) for f in (p.precedence, p.sources, p.targets)))
+
+
+class TestValidateOracle:
+    def test_agrees_on_every_raw_input_up_to_two_events(self):
+        seen = set()
+        for n in range(3):
+            for raw in small_raw_inputs(n):
+                expected = oracle_validate(*raw)
+                assert _outcome(raw) == expected, raw
+                seen.add(expected if isinstance(expected, str) else "valid")
+        assert len(seen) == 7
+
+    def test_agrees_on_random_raw_inputs_up_to_five_events(self):
+        rnd = random.Random(4171)
+        seen = {}
+        for _ in range(3000):
+            raw = random_raw(rnd, 5)
+            expected = oracle_validate(*raw)
+            assert _outcome(raw) == expected, raw
+            kind = expected if isinstance(expected, str) else len(raw[0])
+            seen[kind] = seen.get(kind, 0) + 1
+        # Valid inputs of every size, and every error.
+        assert all(seen.get(n, 0) >= 50 for n in range(6)), seen
+        assert len(seen) == 6 + 6, seen
+
+    def test_constructor_keeps_canonical_fields(self):
+        # ``universe`` and the oracles built on it construct through the
+        # checker, so a renumbering fault in it must show here.
+        for n in range(5):
+            for raw in raw_universe(n):
+                p = Ipomset(*raw)
+                assert (p.labels, p.precedence, p.sources, p.targets) == raw
 
 
 class TestCanonicalInvariance:
@@ -212,6 +270,14 @@ class TestConstructors:
         assert ident.sources == frozenset({0, 1})
         assert ident.targets == frozenset({0, 1})
         assert ident.precedence == frozenset()
+        assert ident == Ipomset(("a", "b"), frozenset(), {0, 1}, {0, 1})
+        # A bad letter is refused by ``validate``, with its text.
+        for bad in ("", 3):
+            with pytest.raises(LabelMissing) as raised:
+                identity((bad,))
+            with pytest.raises(LabelMissing) as again:
+                validate({0: bad}, (), (), (0,), (0,))
+            assert str(raised.value) == str(again.value)
 
     def test_chain_is_total(self):
         p = from_chain(["a", "b", "c"])

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
 
 import pytest
 
@@ -361,6 +362,30 @@ class TestValidatePrecubical:
         with pytest.raises(PrecubicalInvariant) as raised:
             PrecubicalSet(cells, faces)
         assert raised.value.violations == (problem,)
+
+    @pytest.mark.parametrize(
+        "cells, problems",
+        [
+            ({"v": (), "e": deque(["a"])}, []),
+            ({"v": deque(), "e": ("a",)}, []),
+            (
+                {"v": ["b"], "e": deque(["a"])},
+                [
+                    "face ('e', 0, 1) should have word () but 'v' has ('b',)",
+                    "face ('e', 1, 1) should have word () but 'v' has ('b',)",
+                    "cell 'v' is missing face (0, 1)",
+                    "cell 'v' is missing face (1, 1)",
+                ],
+            ),
+        ],
+        ids=["unsliceable-word", "word-unequal-to-its-tuple", "wrong-face-word"],
+    )
+    def test_sequence_words_are_judged_as_tuples(self, cells, problems):
+        # Each call gives what the same words as tuples give.
+        faces = {("e", 0, 1): "v", ("e", 1, 1): "v"}
+        tuples = {cid: tuple(word) for cid, word in cells.items()}
+        assert validate_precubical(cells, faces) == problems
+        assert validate_precubical(tuples, faces) == problems
 
 
 def corruptions(carrier: PrecubicalSet):
