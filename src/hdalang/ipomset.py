@@ -155,6 +155,8 @@ class Ipomset:
 
     The constructor checks that each precedence pair names an event, then
     is :func:`validate` over the index order, with its errors and texts.
+    It passes that order as the covering pairs ``(i, i + 1)``, which
+    :func:`validate` closes to every index-increasing pair.
 
     Attributes:
         labels: label of each event, indexed by event number.
@@ -183,7 +185,7 @@ class Ipomset:
                     f"precedence pair ({a}, {b}) names an event outside 0..{n - 1}"
                 )
         checked = validate(
-            dict(enumerate(self.labels)), pairs, combinations(range(n), 2),
+            dict(enumerate(self.labels)), pairs, zip(range(n), range(1, n)),
             self.sources, self.targets,
         )
         for name in self.__match_args__:

@@ -16,15 +16,19 @@ Ideals are materialised by growing interval refinement orders of a
 generator event by event, on predecessor and successor bitmasks, and
 cutting a branch as soon as it stops being interval or stops fitting the
 inherited event order (:func:`_interval_refinements`).  Orders that are
-not interval are never built, and :func:`normalize` keeps only the
-members that come from inclusion-minimal orders.
+not interval are never built.  :func:`normalize` needs only the maximal
+members, which come from inclusion-minimal orders, so it does not grow
+every order: it starts from the generator's own precedence and branches
+on one obstruction at a time (a ``2+2``, or a 3-cycle with the inherited
+event order), adding one of the two pairs that every valid order above
+the obstruction must hold (:func:`_maximal_candidates`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from hdalang.ipomset import (
     EMPTY,
@@ -35,6 +39,8 @@ from hdalang.ipomset import (
     _masks,
     _members,
     _numbered,
+    _predecessor_chain,
+    _two_plus_two,
     _unchecked,
     glue,
     is_interval,
@@ -100,9 +106,11 @@ def normalize(ipomsets: Iterable[Ipomset], event_bound: int | None = None) -> La
     A non-interval ipomset is replaced only by the members of its ideal
     that come from inclusion-minimal refinement orders (see
     :func:`_maximal_candidates`); every maximal interval element is among
-    them, and the pass above drops the rest.  Growing those orders is
-    still exponential in the ipomset's concurrency; callers composing
-    large generators should bound the result first where possible.
+    them, and the pass above drops the rest.  Those orders are found by
+    branching on obstructions, not by growing the whole ideal, so the cost
+    depends on how many distinct orders that search closes on its way to
+    the minimal ones (272 for four copies of ``ab`` in parallel, which
+    keep 23 generators), not on the size of the ideal.
 
     Raises:
         ValueError: ``event_bound`` is negative.
@@ -382,30 +390,117 @@ def _refinement(q: Ipomset, order: _Order) -> Ipomset:
 def _maximal_candidates(q: Ipomset) -> set[Ipomset]:
     """The members of ``q``'s ideal from inclusion-minimal refinement orders.
 
-    If one refinement order ``R'`` is strictly included in another ``R``,
-    the identity on ``q``'s events shows that ``R``'s member strictly
-    refines ``R'``'s.  So a maximal member of the ideal comes from an
-    order minimal among all refinement orders, and permuting twins keeps
-    it minimal, so it is also minimal among those
-    :func:`_interval_refinements` returns.  The orders are tested in order
-    of size against the minimal ones kept so far, each encoded as one
-    mask of ``n * n`` bits.
+    If one refinement order ``R'`` (see :func:`_interval_refinements`) is
+    strictly included in another ``R``, the identity on ``q``'s events
+    shows that ``R``'s member strictly refines ``R'``'s.  So a maximal
+    member of the ideal comes from an order minimal among all refinement
+    orders.  Those are found by a search over closed orders between
+    ``q``'s precedence and them, on predecessor and successor masks.  A
+    node is a strict order holding ``q``'s precedence, and the search
+    stops at its first obstruction:
+
+    * A ``2+2`` ``a < b``, ``c < d`` (the first pair of predecessor masks
+      that do not nest, with the least events, as in
+      :func:`interval_representation`).  Every interval order above it
+      holds ``a < d`` or ``c < b`` (Fishburn, *Intransitive indifference
+      with unequal indifference intervals*, J. Math. Psych. 1970), so the
+      node branches on adding one or the other.
+    * A 3-cycle with the inherited index order: ``x R y`` with
+      ``y < z < x`` by index, ``z`` concurrent with both.  A valid order
+      above it must order ``z`` with ``y`` or with ``x``, or the same
+      cycle stays.  ``z < y`` and ``x < z`` are the two branches, and the
+      other two directions bring one of them by transitivity:
+      ``y < z`` gives ``x < z`` and ``z < x`` gives ``z < y``.  Only this
+      check is needed: the union of an order with the index order of its
+      concurrent pairs relates every pair once, so it is acyclic when it
+      has no 3-cycle, and a 3-cycle holds exactly one pair of the order
+      (two would close to a third).
+
+    Adding ``(u, v)`` puts every event at or below ``u`` before every event
+    at or above ``v``, which keeps the node closed.  It stays acyclic:
+    ``d <= a`` would give ``c < b``, ``b <= c`` would give ``a < d``, and
+    ``z`` is concurrent with ``x`` and ``y``.  A branch that gives a
+    source a predecessor or a target a successor is dropped: pairs are
+    only ever added, so no order above it keeps the interfaces extremal.
+    A ``2+2`` addition never does this, since ``a`` has a successor and
+    ``d`` a predecessor; only a 3-cycle branch can.  A node with no
+    obstruction is a refinement order, a leaf.
+
+    Each minimal order ``M`` is a leaf: the root lies below ``M``, and a
+    node below ``M`` with an obstruction has a branch still below ``M``,
+    because ``M`` holds that branch's pair and is closed.  The descent
+    ends at a leaf below ``M``, a refinement order, so it is ``M``.
+    Leaves may also include orders that are not minimal.  Closed orders
+    reached twice are searched once.  The leaves are tested in order of
+    size against the minimal ones kept so far, each encoded as one mask of
+    ``n * n`` bits.
     """
     n = q.size
-    encoded = []
-    for order in _interval_refinements(q):
-        relation = 0
-        for x, mask in enumerate(order[0]):
-            relation |= mask << x * n
-        encoded.append((relation, order))
-    encoded.sort(key=lambda item: item[0].bit_count())
+    q_pred, q_succ, _, _, _ = _masks(q)
+    sources = sum(1 << s for s in q.sources)
+    targets = sum(1 << t for t in q.targets)
+    leaves: list[tuple[int, _Order]] = []
+    seen: set[tuple[int, ...]] = set()
+    stack: list[_Order] = [(q_pred, q_succ)]
+    while stack:
+        pred, succ = stack.pop()
+        broken = _predecessor_chain(pred)[1]
+        if broken is not None:
+            two = _two_plus_two(pred, *broken)
+            pairs = (
+                (two.first_low, two.second_high),
+                (two.second_low, two.first_high),
+            )
+        else:
+            pairs = _index_cycle(pred, succ)
+        if pairs is None:
+            relation = 0
+            for x, mask in enumerate(pred):
+                relation |= mask << x * n
+            leaves.append((relation, (pred, succ)))
+            continue
+        for u, v in pairs:
+            down = pred[u] | 1 << u
+            up = succ[v] | 1 << v
+            if up & sources or down & targets:
+                continue
+            new_pred = list(pred)
+            new_succ = list(succ)
+            for y in _members(up):
+                new_pred[y] |= down
+            for x in _members(down):
+                new_succ[x] |= up
+            key = tuple(new_pred)
+            if key not in seen:
+                seen.add(key)
+                stack.append((key, tuple(new_succ)))
+    leaves.sort(key=lambda item: item[0].bit_count())
     minimal: list[int] = []
     out: set[Ipomset] = set()
-    for relation, order in encoded:
+    for relation, order in leaves:
         if all(smaller & ~relation for smaller in minimal):
             minimal.append(relation)
             out.add(_refinement(q, order))
     return out
+
+
+def _index_cycle(
+    pred: Sequence[int], succ: Sequence[int]
+) -> tuple[tuple[int, int], tuple[int, int]] | None:
+    """The branch pairs of a 3-cycle of a strict order with the index order.
+
+    The order ``R`` is given by its predecessor and successor masks.  Looks
+    for ``x R y`` with ``y < z < x`` by index and ``z`` concurrent with
+    both, and returns ``((z, y), (x, z))`` for the first one found, or
+    ``None`` when there is none.
+    """
+    for x in range(1, len(pred)):
+        for y in _members(succ[x] & (1 << x) - 1):
+            free = (1 << x) - (2 << y) & ~(pred[x] | succ[x] | pred[y] | succ[y])
+            if free:
+                z = (free & -free).bit_length() - 1
+                return (z, y), (x, z)
+    return None
 
 
 def extensions(q: Ipomset) -> frozenset[Ipomset]:

@@ -16,6 +16,7 @@ Core claims exercised here:
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import random
@@ -413,6 +414,17 @@ class TestCliHappyPaths:
         assert main(["closure", path, "--n", "2"]) == 0
         doc = read_json(capsys)
         assert len(doc["generators"]) == 3
+
+    def test_closure_of_a_chain_is_pinned(self, tmp_path, capsys):
+        lang = normalize([from_chain(["a", "b"])])
+        path = write_doc(tmp_path, "lang.json", language_to_doc(lang))
+        assert main(["closure", path, "--n", "3"]) == 0
+        out = capsys.readouterr().out.encode()
+        assert len(json.loads(out)["generators"]) == 10
+        assert (len(out), hashlib.sha256(out).hexdigest()) == (
+            7031,
+            "04a58e6e0cb6539483b75492b697e75f258fa3734b31ffaa00e5583fc2437fd5",
+        )
 
     def test_validate_span(self, tmp_path, capsys):
         span = pushout_span()

@@ -18,7 +18,9 @@ Core claims exercised here:
   against an oracle that filters every strict order) and ``expand``
   unions those ideals.
 * ``normalize`` replaces a non-interval member by exactly the maxima of
-  its ideal.
+  its ideal, on random members with 5-6 events and interfaces as well as
+  on chain products; large products and a closure keep pinned generator
+  counts.
 """
 
 from __future__ import annotations
@@ -188,6 +190,56 @@ class TestNormalize:
                 if not any(r != p and oracle_subsumes(p, r) for r in ideal)
             }
             assert normalize([q]).generators == maxima, q
+
+    def test_random_members_with_interfaces_give_the_maxima_of_their_ideal(self):
+        # A 3-cycle with the index order needs 5 events with interleaved
+        # indices, and pruning on interfaces needs interfaces, so these
+        # inputs reach the branches that universe(4) and chain products
+        # cannot.  Ideals above 150 members are skipped to keep the oracle
+        # pass short.
+        rnd = random.Random(11)
+        checked = 0
+        for _ in range(400):
+            q = random_ipomset(rnd, 6)
+            while q.size < 5 or oracle_is_interval(q):
+                q = random_ipomset(rnd, 6)
+            ideal = extensions(q)
+            if len(ideal) > 150:
+                continue
+            checked += 1
+            # A member is only ever refined by one with fewer pairs, so
+            # comparing it with those maxima kept so far is enough.
+            maxima: list[Ipomset] = []
+            for p in sorted(ideal, key=lambda member: len(member.precedence)):
+                pairs = len(p.precedence)
+                if not any(
+                    len(g.precedence) < pairs and oracle_subsumes(p, g)
+                    for g in maxima
+                ):
+                    maxima.append(p)
+            assert normalize([q]).generators == set(maxima), q
+        assert checked > 300
+
+    @pytest.mark.parametrize(
+        ("words", "count"), [(("aaa", "bbb", "ab"), 26), (("ab", "ab", "ab", "ab"), 23)]
+    )
+    def test_large_parallel_products(self, words, count):
+        q = from_chain(words[0])
+        for word in words[1:]:
+            q = parallel(q, from_chain(word))
+        generators = normalize([q]).generators
+        assert len(generators) == count
+        for g in generators:
+            assert oracle_is_interval(g)
+            assert oracle_subsumes(g, q)
+        # Refinement never removes pairs, and with as many pairs it is
+        # equality, so only a generator with more pairs can refine another.
+        assert not any(
+            oracle_subsumes(g, h)
+            for g in generators
+            for h in generators
+            if len(g.precedence) > len(h.precedence)
+        )
 
     def test_input_order_does_not_matter(self):
         rnd = random.Random(5151)
@@ -361,6 +413,11 @@ class TestParClosure:
             from_concurrent(["a", "a", "a"]),
         }
         assert got.generators == frozenset(expected)
+
+    def test_four_factors_of_a_chain(self):
+        got = par_closure_bounded(normalize([from_chain("ab")]), 4)
+        assert len(got.generators) == 33
+        assert all(g.size in (0, 2, 4, 6, 8) for g in got.generators)
 
     def test_bound_counts_factors_not_events(self):
         lang = normalize([from_concurrent(["a", "a"])])
