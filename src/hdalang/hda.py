@@ -639,7 +639,10 @@ def replicate(x: Hda, n: int) -> Hda:
     """Zero to ``n`` parallel copies of ``x``, as a coproduct of tensor powers."""
     if n < 0:
         raise ValueError("replication needs a non-negative count")
-    return coproduct_hda([tensor_power(x, k) for k in range(n + 1)])
+    powers = [unit_hda()]
+    for _ in range(n):
+        powers.append(tensor_hda(powers[-1], x))
+    return coproduct_hda(powers)
 
 
 def replication_chain_prefix(

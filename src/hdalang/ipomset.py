@@ -103,8 +103,9 @@ def _members(mask: int) -> tuple[int, ...]:
     """The events whose bits are set in ``mask``, in ascending order.
 
     It is the package's one walk over the bits of a mask.  Cached:
-    relations on a few events give few distinct masks, and the refinement
-    growth in :mod:`hdalang.language` walks the same ones in every branch.
+    relations on a few events give few distinct masks, and the search for
+    refinement orders in :mod:`hdalang.language` walks the same ones at
+    every node.
     """
     out = []
     while mask:
@@ -592,7 +593,7 @@ def interval_representation(p: Ipomset) -> IntervalRepresentation | TwoPlusTwoWi
     pred = _masks(p)[0]
     distinct, broken = _predecessor_chain(pred)
     if broken is not None:
-        return _two_plus_two(pred, *broken)
+        return TwoPlusTwoWitness(*_two_plus_two(pred, *broken))
     level = {mask: i for i, mask in enumerate(distinct)}
     begin = tuple(level[mask] for mask in pred)
     end = tuple(
@@ -618,19 +619,23 @@ def _predecessor_chain(
     return distinct, None
 
 
-def _two_plus_two(pred: Sequence[int], first: int, second: int) -> TwoPlusTwoWitness:
+def _two_plus_two(
+    pred: Sequence[int], first: int, second: int
+) -> tuple[int, int, int, int]:
     """The ``2+2`` shown by two incomparable predecessor masks.
 
-    Each low event is the least event of its mask missing from the other
-    mask, and each high event is the least event with that mask, so the
-    witness depends only on the ipomset's value.
+    Returns ``(first_low, first_high, second_low, second_high)``, the
+    fields of a :class:`TwoPlusTwoWitness`.  Each low event is the least
+    event of its mask missing from the other mask, and each high event is
+    the least event with that mask, so the witness depends only on the
+    ipomset's value.
     """
     first_only, second_only = first & ~second, second & ~first
-    return TwoPlusTwoWitness(
-        first_low=_members(first_only)[0],
-        first_high=pred.index(first),
-        second_low=_members(second_only)[0],
-        second_high=pred.index(second),
+    return (
+        _members(first_only)[0],
+        pred.index(first),
+        _members(second_only)[0],
+        pred.index(second),
     )
 
 

@@ -12,16 +12,17 @@ involved.  :func:`expand` materialises the ideal up to an event budget,
 which is the bridge between this symbolic representation and the
 path-by-path semantics of automata.
 
-Ideals are materialised by growing interval refinement orders of a
-generator event by event, on predecessor and successor bitmasks, and
-cutting a branch as soon as it stops being interval or stops fitting the
-inherited event order (:func:`_interval_refinements`).  Orders that are
-not interval are never built.  :func:`normalize` needs only the maximal
-members, which come from inclusion-minimal orders, so it does not grow
-every order: it starts from the generator's own precedence and branches
-on one obstruction at a time (a ``2+2``, or a 3-cycle with the inherited
-event order), adding one of the two pairs that every valid order above
-the obstruction must hold (:func:`_maximal_candidates`).
+Ideals are materialised from the refinement orders of a generator, found
+by one search over closed orders on predecessor and successor bitmasks
+(:func:`_refinement_orders`).  It starts from the generator's own
+precedence and branches on one obstruction at a time (a ``2+2``, or a
+3-cycle with the inherited event order), adding one of the two pairs that
+every valid order above the obstruction must hold.  :func:`normalize`
+needs only the maximal members, which come from inclusion-minimal orders,
+so its search ends at the first valid order on each branch
+(:func:`_maximal_candidates`); :func:`extensions` needs every order, so
+its search goes on from each valid order by adding one concurrent pair at
+a time.
 """
 
 from __future__ import annotations
@@ -109,8 +110,9 @@ def normalize(ipomsets: Iterable[Ipomset], event_bound: int | None = None) -> La
     them, and the pass above drops the rest.  Those orders are found by
     branching on obstructions, not by growing the whole ideal, so the cost
     depends on how many distinct orders that search closes on its way to
-    the minimal ones (272 for four copies of ``ab`` in parallel, which
-    keep 23 generators), not on the size of the ideal.
+    the minimal ones, not on the size of the ideal: for four copies of
+    ``ab`` in parallel it closes 180 orders and ends at 55 valid ones, of
+    which 24 are minimal and keep 23 generators.
 
     Raises:
         ValueError: ``event_bound`` is negative.
@@ -259,117 +261,136 @@ def is_equal(first: Language, second: Language) -> bool:
 _Order = tuple[tuple[int, ...], tuple[int, ...]]
 
 
-def _interval_refinements(q: Ipomset) -> list[_Order]:
-    """Refinement orders of ``q`` that reach its ideal, as bitmasks.
+def _refinement_orders(q: Ipomset, every: bool) -> list[_Order]:
+    """Refinement orders of ``q``: every one, or a superset of the minimal.
 
     A refinement order is a strict order ``R`` on ``q``'s events that
     contains ``q``'s precedence, keeps the sources minimal and the targets
     maximal, is interval, and whose union with the index order inherited
     by the pairs ``R`` leaves concurrent is acyclic.  :func:`_refinement`
-    numbers each into a member of ``q``'s ideal, and every member comes
-    from one of the orders returned, given by each event's predecessor
-    and successor masks.
+    numbers each into a member of ``q``'s ideal.  Orders are given by
+    their predecessor and successor masks.
 
-    ``R`` grows one event at a time, in index order.  Event ``k`` gets
-    predecessors ``D`` and successors ``U`` among the events before it.
-    ``D`` is down-closed, holds ``q``'s predecessors of ``k`` and no
-    target, and is empty when ``k`` is a source.  ``U`` is up-closed, lies
-    wholly above ``D``, holds no source, and is empty when ``k`` is a
-    target.  So ``R`` stays a strict order with extremal interfaces.  Two
-    more conditions are hereditary, and a branch ends at the first event
-    that breaks one:
+    The search walks closed orders up from ``q``'s precedence.  A node
+    that is not a refinement order branches on its first obstruction
+    (:func:`_forced_pairs`), adding one of two pairs that every
+    refinement order above it holds:
 
-    * The predecessor masks form a chain, so ``R`` is interval.  The new
-      masks are ``D`` and those of ``U`` with ``k`` added; they stay a
-      chain when ``D`` is comparable with every mask so far and ``U``
-      takes along each event whose predecessors strictly include those
-      of one of its members.
-    * ``R`` with the inherited index order is acyclic.  That union relates
-      every pair exactly once, so it is acyclic when it has no 3-cycle.
-      A new one would run from ``k`` to some ``u`` in ``U``, on to a
-      later event concurrent with ``u`` and outside ``U``, and back to
-      ``k``.  So ``U`` takes along every later event concurrent with one
-      of its members.
+    * A ``2+2`` ``a < b``, ``c < d``: every interval order above it holds
+      ``a < d`` or ``c < b`` (Fishburn, *Intransitive indifference with
+      unequal indifference intervals*, J. Math. Psych. 1970).
+    * A 3-cycle with the inherited index order: ``x R y`` with
+      ``y < z < x`` by index, ``z`` concurrent with both.  A valid order
+      above it orders ``z`` with ``y`` or ``x``, and ``y < z`` brings
+      ``x < z`` while ``z < x`` brings ``z < y``, so those two are the
+      branches.  The union of an order with the index order of its
+      concurrent pairs relates every pair once, so it is acyclic when it
+      has no 3-cycle, and a 3-cycle holds one pair of the order (two
+      would close to a third).
+
+    A refinement order is returned, and ends its branch unless ``every``
+    is set.  With ``every`` it also branches on each cover pair
+    ``(u, v)``: ``u`` and ``v`` concurrent, ``pred[u]`` inside
+    ``pred[v]`` and ``succ[v]`` inside ``succ[u]``.  Every pair added is
+    concurrent in the node.  Adding ``(u, v)`` puts every event at or
+    below ``u`` before every event at or above ``v``, which keeps the node
+    a closed order (a cycle would need ``v`` at or below ``u``); for a
+    cover pair it adds ``(u, v)`` alone.
+
+    Each node carries a set of banned pairs, and a child that would hold
+    one is dropped.  The root bans every pair that gives a source a
+    predecessor or a target a successor, and every pair that puts a later
+    twin before an earlier one of its run.  A node's branch pair is
+    banned in the siblings after it, since an order above the node that
+    holds the pair lies above that child.  So no order is reached twice.
 
     Twins are consecutive events with the same label, interface role,
     predecessors and successors in ``q``.  Permuting a run of twins maps
     refinement orders to refinement orders with the same member: no event
     lies between two twins, so every pair with an event outside the run
     keeps its index order.  Numbering a run along a linear extension of
-    ``R`` shows that the orders in which no twin precedes an earlier twin
-    of its run still reach every member, so ``U`` holds no earlier twin
-    of ``k``.
+    ``R`` shows that the twin-respecting orders still reach every member,
+    and every order below a twin-respecting one respects twins too.
+
+    Let ``R`` be a twin-respecting refinement order above a node ``N``,
+    holding none of ``N``'s bans.  If ``N`` has an obstruction, ``R``
+    holds one of its pairs; for the first of them that ``R`` holds, ``R``
+    holds that whole child, being closed, and none of its bans.  If ``N``
+    is a refinement order other than ``R``, take a pair of ``R`` missing
+    from ``N``, move its lower end down through ``N``-predecessors while
+    the pair stays out of ``N``, then its upper end up through
+    ``N``-successors likewise: ``R`` holds each pair on the way, and the
+    descent ends at a cover pair of ``N``, so the first cover pair that
+    ``R`` holds serves as before.  So with ``every`` each twin-respecting
+    refinement order is returned once, and without it each one that is
+    minimal among those.
     """
     n = q.size
     q_pred, q_succ, keys, _, _ = _masks(q)
-    twins = [0] * n
-    for k in range(1, n):
-        same = keys[k] == keys[k - 1] and q_pred[k] == q_pred[k - 1]
-        if same and q_succ[k] == q_succ[k - 1]:
-            twins[k] = twins[k - 1] | 1 << k - 1
-    sources = sum(1 << s for s in q.sources)
     targets = sum(1 << t for t in q.targets)
-    pred = [0] * n
-    succ = [0] * n
+    # Bit ``y * n + x`` of ``banned``: ``x`` may not come before ``y``,
+    # because ``y`` is a source, ``x`` a target or a later twin of ``y``.
+    shape = list(zip(keys, q_pred, q_succ))
+    banned = later = 0
+    for y in range(n - 1, -1, -1):
+        later = later | 1 << y + 1 if y + 1 < n and shape[y] == shape[y + 1] else 0
+        ban = (1 << n) - 1 if y in q.sources else targets | later
+        banned |= ban << y * n
     out: list[_Order] = []
-
-    def grow(k: int) -> None:
-        if k == n:
-            out.append((tuple(pred), tuple(succ)))
-            return
-        bit = 1 << k
-        earlier = bit - 1
-        # ``along[x]``: the events ``U`` must hold when it holds ``x``.  The
-        # masks form a chain, so a strictly larger one strictly includes.
-        sizes = [mask.bit_count() for mask in pred[:k]]
-        along = [
-            succ[x]
-            | earlier & ~(pred[x] | succ[x]) & -(2 << x)
-            | sum(1 << y for y in range(k) if sizes[y] > sizes[x])
-            for x in range(k)
-        ]
-        # ``D`` is ``base`` and a down-closed part of ``free``.
-        base = q_pred[k]
-        for d in _members(base):
-            base |= pred[d]
-        free = 0 if bit & sources else earlier & ~targets & ~base
-        extra = free
-        while True:
-            down = base | extra
-            if all(not pred[d] & ~down for d in _members(extra)) and all(
-                mask & down in (mask, down) for mask in pred[:k]
-            ):
-                # ``U`` is a part of ``room`` that holds what it takes along.
-                room = 0
-                if not bit & targets:
-                    room = sum(
-                        1 << x
-                        for x in range(k)
-                        if pred[x] & down == down and not sources >> x & 1
-                    ) & ~twins[k]
-                ups = room
-                while True:
-                    if all(not along[u] & ~ups for u in _members(ups)):
-                        for u in _members(ups):
-                            pred[u] |= bit
-                        for d in _members(down):
-                            succ[d] |= bit
-                        pred[k], succ[k] = down, ups
-                        grow(k + 1)
-                        for u in _members(ups):
-                            pred[u] ^= bit
-                        for d in _members(down):
-                            succ[d] ^= bit
-                    if not ups:
-                        break
-                    ups = (ups - 1) & room
-            if not extra:
-                break
-            extra = (extra - 1) & free
-        pred[k] = succ[k] = 0
-
-    grow(0)
+    stack = [(q_pred, q_succ, banned)]
+    while stack:
+        pred, succ, banned = stack.pop()
+        pairs = _forced_pairs(pred, succ)
+        if pairs is None:
+            out.append((pred, succ))
+            if not every:
+                continue
+            pairs = [
+                (u, v)
+                for u in range(n)
+                for v in _members((1 << n) - 1 & ~(pred[u] | succ[u] | 1 << u))
+                if not pred[u] & ~pred[v] and not succ[v] & ~succ[u]
+            ]
+        for u, v in pairs:
+            down = pred[u] | 1 << u
+            up = succ[v] | 1 << v
+            new_pred = list(pred)
+            for y in _members(up):
+                if banned >> y * n & down:
+                    break
+                new_pred[y] |= down
+            else:
+                new_succ = list(succ)
+                for x in _members(down):
+                    new_succ[x] |= up
+                stack.append((tuple(new_pred), tuple(new_succ), banned))
+            # The later siblings cover the orders without ``(u, v)``.
+            banned |= 1 << v * n + u
     return out
+
+
+def _forced_pairs(
+    pred: Sequence[int], succ: Sequence[int]
+) -> tuple[tuple[int, int], tuple[int, int]] | None:
+    """The branch pairs of a strict order's first obstruction, if any.
+
+    For a ``2+2`` ``a < b``, ``c < d`` (the first pair of predecessor
+    masks that do not nest, as in :func:`interval_representation`) they
+    are ``(a, d)`` and ``(c, b)``.  Otherwise, for the first ``x R y``
+    with ``y < z < x`` by index and ``z`` concurrent with both, they are
+    ``(z, y)`` and ``(x, z)``.
+    """
+    broken = _predecessor_chain(pred)[1]
+    if broken is not None:
+        a, b, c, d = _two_plus_two(pred, *broken)
+        return (a, d), (c, b)
+    for x in range(1, len(pred)):
+        for y in _members(succ[x] & (1 << x) - 1):
+            free = (1 << x) - (2 << y) & ~(pred[x] | succ[x] | pred[y] | succ[y])
+            if free:
+                z = (free & -free).bit_length() - 1
+                return (z, y), (x, z)
+    return None
 
 
 def _refinement(q: Ipomset, order: _Order) -> Ipomset:
@@ -388,92 +409,24 @@ def _refinement(q: Ipomset, order: _Order) -> Ipomset:
 
 
 def _maximal_candidates(q: Ipomset) -> set[Ipomset]:
-    """The members of ``q``'s ideal from inclusion-minimal refinement orders.
+    """The members of ``q``'s ideal from minimal twin-respecting orders.
 
-    If one refinement order ``R'`` (see :func:`_interval_refinements`) is
+    If one refinement order ``R'`` (see :func:`_refinement_orders`) is
     strictly included in another ``R``, the identity on ``q``'s events
-    shows that ``R``'s member strictly refines ``R'``'s.  So a maximal
-    member of the ideal comes from an order minimal among all refinement
-    orders.  Those are found by a search over closed orders between
-    ``q``'s precedence and them, on predecessor and successor masks.  A
-    node is a strict order holding ``q``'s precedence, and the search
-    stops at its first obstruction:
-
-    * A ``2+2`` ``a < b``, ``c < d`` (the first pair of predecessor masks
-      that do not nest, with the least events, as in
-      :func:`interval_representation`).  Every interval order above it
-      holds ``a < d`` or ``c < b`` (Fishburn, *Intransitive indifference
-      with unequal indifference intervals*, J. Math. Psych. 1970), so the
-      node branches on adding one or the other.
-    * A 3-cycle with the inherited index order: ``x R y`` with
-      ``y < z < x`` by index, ``z`` concurrent with both.  A valid order
-      above it must order ``z`` with ``y`` or with ``x``, or the same
-      cycle stays.  ``z < y`` and ``x < z`` are the two branches, and the
-      other two directions bring one of them by transitivity:
-      ``y < z`` gives ``x < z`` and ``z < x`` gives ``z < y``.  Only this
-      check is needed: the union of an order with the index order of its
-      concurrent pairs relates every pair once, so it is acyclic when it
-      has no 3-cycle, and a 3-cycle holds exactly one pair of the order
-      (two would close to a third).
-
-    Adding ``(u, v)`` puts every event at or below ``u`` before every event
-    at or above ``v``, which keeps the node closed.  It stays acyclic:
-    ``d <= a`` would give ``c < b``, ``b <= c`` would give ``a < d``, and
-    ``z`` is concurrent with ``x`` and ``y``.  A branch that gives a
-    source a predecessor or a target a successor is dropped: pairs are
-    only ever added, so no order above it keeps the interfaces extremal.
-    A ``2+2`` addition never does this, since ``a`` has a successor and
-    ``d`` a predecessor; only a 3-cycle branch can.  A node with no
-    obstruction is a refinement order, a leaf.
-
-    Each minimal order ``M`` is a leaf: the root lies below ``M``, and a
-    node below ``M`` with an obstruction has a branch still below ``M``,
-    because ``M`` holds that branch's pair and is closed.  The descent
-    ends at a leaf below ``M``, a refinement order, so it is ``M``.
-    Leaves may also include orders that are not minimal.  Closed orders
-    reached twice are searched once.  The leaves are tested in order of
-    size against the minimal ones kept so far, each encoded as one mask of
-    ``n * n`` bits.
+    shows that ``R``'s member strictly refines ``R'``'s.  A maximal member
+    comes from a twin-respecting order, which is therefore minimal among
+    those.  The search without cover pairs returns each such order, and
+    perhaps others above one; they are tested in order of size against
+    the minimal ones kept so far, each encoded as one mask of ``n * n``
+    bits.
     """
     n = q.size
-    q_pred, q_succ, _, _, _ = _masks(q)
-    sources = sum(1 << s for s in q.sources)
-    targets = sum(1 << t for t in q.targets)
     leaves: list[tuple[int, _Order]] = []
-    seen: set[tuple[int, ...]] = set()
-    stack: list[_Order] = [(q_pred, q_succ)]
-    while stack:
-        pred, succ = stack.pop()
-        broken = _predecessor_chain(pred)[1]
-        if broken is not None:
-            two = _two_plus_two(pred, *broken)
-            pairs = (
-                (two.first_low, two.second_high),
-                (two.second_low, two.first_high),
-            )
-        else:
-            pairs = _index_cycle(pred, succ)
-        if pairs is None:
-            relation = 0
-            for x, mask in enumerate(pred):
-                relation |= mask << x * n
-            leaves.append((relation, (pred, succ)))
-            continue
-        for u, v in pairs:
-            down = pred[u] | 1 << u
-            up = succ[v] | 1 << v
-            if up & sources or down & targets:
-                continue
-            new_pred = list(pred)
-            new_succ = list(succ)
-            for y in _members(up):
-                new_pred[y] |= down
-            for x in _members(down):
-                new_succ[x] |= up
-            key = tuple(new_pred)
-            if key not in seen:
-                seen.add(key)
-                stack.append((key, tuple(new_succ)))
+    for order in _refinement_orders(q, every=False):
+        relation = 0
+        for x, mask in enumerate(order[0]):
+            relation |= mask << x * n
+        leaves.append((relation, order))
     leaves.sort(key=lambda item: item[0].bit_count())
     minimal: list[int] = []
     out: set[Ipomset] = set()
@@ -484,36 +437,17 @@ def _maximal_candidates(q: Ipomset) -> set[Ipomset]:
     return out
 
 
-def _index_cycle(
-    pred: Sequence[int], succ: Sequence[int]
-) -> tuple[tuple[int, int], tuple[int, int]] | None:
-    """The branch pairs of a 3-cycle of a strict order with the index order.
-
-    The order ``R`` is given by its predecessor and successor masks.  Looks
-    for ``x R y`` with ``y < z < x`` by index and ``z`` concurrent with
-    both, and returns ``((z, y), (x, z))`` for the first one found, or
-    ``None`` when there is none.
-    """
-    for x in range(1, len(pred)):
-        for y in _members(succ[x] & (1 << x) - 1):
-            free = (1 << x) - (2 << y) & ~(pred[x] | succ[x] | pred[y] | succ[y])
-            if free:
-                z = (free & -free).bit_length() - 1
-                return (z, y), (x, z)
-    return None
-
-
 def extensions(q: Ipomset) -> frozenset[Ipomset]:
     """Every canonical ipomset subsumed by ``q`` (including ``q`` itself).
 
-    The members are grown directly as interval refinements of ``q``'s
-    precedence (see :func:`_interval_refinements`), one event at a time,
-    so no order that is not interval is ever built.  The returned set is
+    The members are numbered from every twin-respecting refinement order
+    of ``q`` (see :func:`_refinement_orders`).  The returned set is
     exactly ``q``'s principal ideal: transporting structure along a
-    subsumption witness shows that every refinement arises from such an
-    order, and several orders may give the same member.
+    subsumption witness shows that every refinement arises from a
+    refinement order, and renumbering twins from a twin-respecting one.
     """
-    return frozenset(_refinement(q, order) for order in _interval_refinements(q))
+    orders = _refinement_orders(q, every=True)
+    return frozenset(_refinement(q, order) for order in orders)
 
 
 def expand(lang: Language, max_events: int) -> frozenset[Ipomset]:
@@ -521,7 +455,12 @@ def expand(lang: Language, max_events: int) -> frozenset[Ipomset]:
 
     Expanding at budget 0 yields ``{empty ipomset}`` when the language
     contains it and the empty set otherwise.
+
+    Raises:
+        ValueError: ``max_events`` is negative.
     """
+    if max_events < 0:
+        raise ValueError("the event bound must be non-negative")
     out: set[Ipomset] = set()
     for g in lang.generators:
         if g.size <= max_events:

@@ -775,6 +775,13 @@ class TestReplication:
         for n in range(4):
             assert start_cell_count(replicate(a, n)) == n + 1
 
+    def test_replicate_is_the_coproduct_of_the_powers(self):
+        square = tensor_hda(edge_automaton("a"), edge_automaton("b"))
+        for x in (edge_automaton("a"), square):
+            for n in range(4):
+                powers = [tensor_power(x, k) for k in range(n + 1)]
+                assert replicate(x, n) == coproduct_hda(powers)
+
     def test_replicate_language(self):
         a = edge_automaton("a")
         rep = replicate(a, 3)

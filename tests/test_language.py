@@ -3,8 +3,8 @@
 Core claims exercised here:
 
 * ``Language`` holds an antichain of interval generators and rejects
-  non-interval input; ``normalize`` and ``restrict`` refuse a negative
-  event bound.
+  non-interval input; ``normalize``, ``restrict`` and ``expand`` refuse a
+  negative event bound.
 * ``normalize`` drops subsumed members, keeping the maxima a brute-force
   scan finds whatever the input order, with one ``subsumes`` call per
   member against each generator kept so far with its bag of labels and
@@ -16,7 +16,9 @@ Core claims exercised here:
 * ``extensions`` enumerates exactly the down-closure of one generator
   (cross-checked against a brute-force scan of the whole universe and
   against an oracle that filters every strict order) and ``expand``
-  unions those ideals.
+  unions those ideals.  The search for refinement orders stops at the
+  minimal ones exactly when asked: its leaves without cover pairs have
+  the minimal orders of the full search as their minimal elements.
 * ``normalize`` replaces a non-interval member by exactly the maxima of
   its ideal, on random members with 5-6 events and interfaces as well as
   on chain products; large products and a closure keep pinned generator
@@ -57,6 +59,7 @@ from hdalang import (
 )
 from hdalang.hda import _expanded
 from hdalang.ipomset import Ipomset
+from hdalang.language import _refinement_orders
 from hdalang.samples import edge_automaton, grid_automaton
 from oracles import (
     oracle_down_set,
@@ -458,6 +461,10 @@ class TestSetOperations:
         with pytest.raises(ValueError):
             restrict(normalize([point("a")]), -1)
 
+    def test_expand_refuses_a_negative_event_bound(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            expand(normalize([point("a")]), -1)
+
     def test_subset_and_equality(self):
         small = normalize([from_chain(["a", "b"])])
         big = normalize([from_concurrent(["a", "b"])])
@@ -533,6 +540,60 @@ class TestExtensions:
             q = random_ipomset(rnd, 4)
             for p in extensions(q):
                 assert subsumes(p, q) is not None
+
+
+class TestRefinementOrders:
+    """The search for refinement orders, with and without cover pairs."""
+
+    @staticmethod
+    def relations(q: Ipomset, every: bool) -> list[int]:
+        """Each order as one mask, bit ``y * n + x`` set when ``x < y``."""
+        return [
+            sum(mask << y * q.size for y, mask in enumerate(pred))
+            for pred, _ in _refinement_orders(q, every=every)
+        ]
+
+    @staticmethod
+    def minimal(relations) -> set[int]:
+        return {
+            r for r in relations if not any(s != r and not s & ~r for s in relations)
+        }
+
+    def test_minimal_leaves_are_the_minimal_orders_of_the_full_search(self):
+        # Twin runs with interfaces, chain products (never interval), then
+        # random members; full searches above 400 orders are skipped to
+        # keep the quadratic minimality scan short.
+        inputs = [
+            from_concurrent("aaaab", sources={0, 1}),
+            from_concurrent("abaaa", sources={2}, targets={3, 4}),
+            from_concurrent("aabbb", targets={4}),
+            parallel(from_chain("ab"), from_chain("ab")),
+            parallel(from_chain("aab"), from_chain("ba", sources={0})),
+            parallel(from_chain("aa"), from_chain("aa", targets={1})),
+        ]
+        rnd = random.Random(19)
+        while len(inputs) < 300:
+            q = random_ipomset(rnd, 6)
+            if q.size >= 4:
+                inputs.append(q)
+        checked = non_interval = 0
+        for q in inputs:
+            every = self.relations(q, every=True)
+            if len(every) > 400:
+                continue
+            checked += 1
+            non_interval += not oracle_is_interval(q)
+            assert len(set(every)) == len(every), q
+            leaves = self.relations(q, every=False)
+            assert set(leaves) <= set(every), q
+            assert self.minimal(leaves) == self.minimal(every), q
+        assert checked > 250 and non_interval > 50
+
+    def test_full_search_count_on_six_twins(self):
+        # One order per member: without the twin bans every permutation
+        # of a run would give the same member again.
+        orders = _refinement_orders(from_concurrent("a" * 6), every=True)
+        assert len(orders) == len(extensions(from_concurrent("a" * 6))) == 2637
 
 
 class TestExpand:
