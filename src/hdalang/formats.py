@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import functools
 import json
+from itertools import combinations
 from json.encoder import encode_basestring_ascii as _string
 from typing import Any, Callable, Iterable, Mapping, NamedTuple
 
@@ -93,7 +94,7 @@ def ipomset_to_doc(p: Ipomset) -> Doc:
         "type": "ipomset",
         "events": list(p.labels),
         "precedence": [list(pair) for pair in sorted(p.precedence)],
-        "eventOrder": [list(pair) for pair in sorted(p.event_order)],
+        "eventOrder": [list(e) for e in combinations(range(p.size), 2) if e not in p.precedence],
         "sources": sorted(p.sources),
         "targets": sorted(p.targets),
     }

@@ -29,6 +29,8 @@ an antichain.  A step's label depends only on the label, the step's
 positions and the higher cell's word, never on the cell, so the extraction
 builds each such transition once per call and every cell shares it.  It
 numbers each distinct label when first built and then works on numbers.
+Path labels are interval, so the labels at accepting cells skip the
+interval test of :func:`hdalang.language.normalize` for its maxima pass.
 
 Paths whose accumulated precedence contradicts the order in which
 concurrent events were started admit no canonical label; they are
@@ -48,7 +50,7 @@ from typing import Iterator, Mapping, Sequence
 from hdalang.ipomset import (
     InternalOrderCycle, Ipomset, _glued, _unchecked, identity, subsumes,
 )
-from hdalang.language import Language, normalize
+from hdalang.language import Language, _maxima
 from hdalang.precubical import (
     PrecubicalInvariant,
     PrecubicalSet,
@@ -492,8 +494,9 @@ def language(automaton: Hda, max_events: int) -> Language:
       with events left to start is not expanded if it refines a label with
       fewer precedence pairs kept at the same cell.
 
-    The labels expanded at accepting cells are normalised into a
-    subsumption-closed language with this event bound.
+    The maxima of the labels expanded at accepting cells generate the
+    language, with this event bound.  Path labels are interval, so they
+    skip :func:`hdalang.language.normalize` for its maxima pass alone.
 
     Soundness.  Write ``l <= m`` when ``l`` refines ``m``, and call a state
     ``(c, l)`` of the exploration of all paths *live* when ``l`` has events
@@ -547,13 +550,13 @@ def language(automaton: Hda, max_events: int) -> Language:
     applies.
 
     Raises:
-        ValueError: ``max_events`` is negative (from :func:`normalize`).
+        ValueError: ``max_events`` is negative.
     """
     found = {
         label for cell, label, _ in _expanded(automaton, max_events)
         if cell in automaton.accept
     }
-    return normalize(found, event_bound=max_events)
+    return _maxima(found, max_events)
 
 
 # --- constructions -------------------------------------------------------------------

@@ -485,7 +485,12 @@ def subsumes(p: Ipomset, q: Ipomset) -> tuple[int, ...] | None:
 
     Since ``f`` reflects precedence, ``p`` needs more precedence pairs than
     ``q`` unless the two are equal; both need the same multiset of labels
-    with interface roles.  The search is forward checking on bitmasks.
+    with interface roles.  The identity is tried first: it is a witness
+    exactly when the labels, sources and targets agree index by index and
+    ``q``'s pairs are among ``p``'s (a pair concurrent in ``p`` is then
+    concurrent in ``q``, in index order), and as the least permutation it
+    is the witness the search would find.  The search is forward checking
+    on bitmasks.
     Each ``p``-event starts with the ``q``-events of its label and
     interface role that have no more predecessors and no more successors
     than it has.  Events are mapped in index order, each to its candidates
@@ -504,6 +509,9 @@ def subsumes(p: Ipomset, q: Ipomset) -> tuple[int, ...] | None:
     # preserves precedence, and then index order, so it is the identity.
     if len(p.precedence) <= len(q.precedence):
         return tuple(range(p.size)) if p == q else None
+    if (p.labels, p.sources, p.targets) == (q.labels, q.sources, q.targets):
+        if q.precedence <= p.precedence:
+            return tuple(range(p.size))
     p_pred, p_succ, p_keys, _, p_bag = _masks(p)
     q_pred, q_succ, _, q_pools, q_bag = _masks(q)
     if p_bag != q_bag:

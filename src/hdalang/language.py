@@ -36,7 +36,6 @@ from hdalang.ipomset import (
     InternalOrderCycle,
     Ipomset,
     SequentialMismatch,
-    _Key,
     _masks,
     _members,
     _numbered,
@@ -89,25 +88,12 @@ def normalize(ipomsets: Iterable[Ipomset], event_bound: int | None = None) -> La
     refinements can: it is replaced by the maximal interval elements of
     its ideal, so the denoted down-closure (within interval ipomsets) is
     unchanged.  Duplicates and ipomsets subsumed by another member are
-    then dropped, leaving the antichain of maximal elements.
-
-    The maxima come from one pass over the distinct members sorted by
-    their number of precedence pairs.  A refinement has at least the pairs
-    of what it refines, and as many only when the two are equal, so a
-    member can only be dominated by one with strictly fewer pairs, which
-    comes earlier.  Refinement is transitive, so a dominated member is
-    dominated by a maximal one, and each member is tested only against the
-    generators kept so far with its bag of labels and interface roles,
-    which subsumption preserves: at most one call of :func:`subsumes` per
-    pair of members with the same bag.  The generators kept do not depend
-    on the input order or on hashing; how many calls a dominated member
-    takes before one hits does, as members with equal pair counts come in
-    set order.
+    then dropped by :func:`_maxima`, leaving the maximal ones.
 
     A non-interval ipomset is replaced only by the members of its ideal
     that come from inclusion-minimal refinement orders (see
     :func:`_maximal_candidates`); every maximal interval element is among
-    them, and the pass above drops the rest.  Those orders are found by
+    them, and the maxima pass drops the rest.  Those orders are found by
     branching on obstructions, not by growing the whole ideal, so the cost
     depends on how many distinct orders that search closes on its way to
     the minimal ones, not on the size of the ideal: for four copies of
@@ -117,23 +103,45 @@ def normalize(ipomsets: Iterable[Ipomset], event_bound: int | None = None) -> La
     Raises:
         ValueError: ``event_bound`` is negative.
     """
-    if event_bound is not None and event_bound < 0:
-        raise ValueError("the event bound must be non-negative")
     flat: set[Ipomset] = set()
     for p in set(ipomsets):
         if is_interval(p):
             flat.add(p)
         else:
             flat |= _maximal_candidates(p)
+    return _maxima(flat, event_bound)
+
+
+def _maxima(members: set[Ipomset], event_bound: int | None) -> Language:
+    """The language generated by the maxima of ``members``, all interval.
+
+    Shared by :func:`normalize` and :func:`hdalang.hda.language`, whose
+    path labels are interval by construction.  The maxima come from one
+    pass over the members sorted by their number of precedence pairs.  A
+    refinement has at least the pairs of what it refines, and as many only
+    when the two are equal, so a member can only be dominated by one with
+    strictly fewer pairs, which comes earlier.  Refinement is transitive,
+    so a dominated member is dominated by a maximal one, and each member
+    is tested only against the generators kept so far with its labels and
+    numbers of sources and targets, which subsumption preserves: at most
+    one call of :func:`subsumes` per pair of such members.  That key needs
+    no bitmasks, so a member that meets no rival derives none.  The
+    generators kept do not depend on the input order or on hashing; how
+    many calls a dominated member takes before one hits does, as members
+    with equal pair counts come in set order.
+    """
+    if event_bound is not None and event_bound < 0:
+        raise ValueError("the event bound must be non-negative")
     keep: list[Ipomset] = []
-    rivals: dict[tuple[_Key, ...], list[Ipomset]] = {}
-    for p in sorted(flat, key=lambda member: len(member.precedence)):
+    rivals: dict[tuple[int, int, tuple[str, ...]], list[Ipomset]] = {}
+    for p in sorted(members, key=lambda member: len(member.precedence)):
         pairs = len(p.precedence)
-        same_bag = rivals.setdefault(_masks(p)[4], [])
+        key = (len(p.sources), len(p.targets), tuple(sorted(p.labels)))
+        same_key = rivals.setdefault(key, [])
         if not any(
-            len(g.precedence) < pairs and subsumes(p, g) is not None for g in same_bag
+            len(g.precedence) < pairs and subsumes(p, g) is not None for g in same_key
         ):
-            same_bag.append(p)
+            same_key.append(p)
             keep.append(p)
     return _unchecked(Language, frozenset(keep), event_bound)
 

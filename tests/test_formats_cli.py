@@ -9,6 +9,7 @@ Core claims exercised here:
   code 2), domain errors produce a machine-readable record on stdout
   (exit code 1), and successful runs write the result document (exit
   code 0).
+* ``hdalang language`` writes the same bytes under two hash seeds.
 * The Graphviz rendering marks start/accept vertices, labels edges, and
   draws filled squares linked to their four corners; start markers never
   share an id with a cell.
@@ -597,6 +598,25 @@ class TestCliFailures:
             main(["chain", seed, "--n", "0", "--base", "v0", "--far", "v1"]) == 1
         )
         assert read_json(capsys)["error"] == "ValueError"
+
+
+class TestHashSeed:
+    def test_language_output_does_not_depend_on_hashing(self, tmp_path):
+        # The maxima pass takes labels in set order; the generators it keeps
+        # and the bytes written must not follow the hash seed.
+        automaton = random_hda(random.Random(14), allow_empty_marks=False)
+        path = write_doc(tmp_path, "a.json", hda_to_doc(automaton))
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-m", "hdalang.cli", "language", path, "--max-events", "4"],
+                capture_output=True, check=True,
+                env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed),
+            ).stdout
+            for seed in ("0", "1")
+        ]
+        assert outputs[0] == outputs[1]
+        assert len(json.loads(outputs[0])["generators"]) == 42
 
 
 class TestCachedParser:

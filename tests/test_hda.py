@@ -19,7 +19,8 @@ Core claims exercised here:
 * Two consecutive steps of one kind give the same cells and label as
   their merged step, and raise exactly when it does, so ``language``
   may follow sparse paths only; it equals the normalised labels that the
-  exploration of all paths reaches at accepting cells.
+  exploration of all paths reaches at accepting cells.  The labels it
+  reaches at accepting cells are interval, so it need not test them.
 * The antichain pruning covers the unpruned exploration: every state it
   reaches with events left to start, or at an accepting cell, refines a
   state ``language`` expands at the same cell.
@@ -85,6 +86,7 @@ from hdalang.samples import edge_automaton, grid_automaton, pushout_span
 from oracles import (
     oracle_accepting_paths,
     oracle_glue,
+    oracle_is_interval,
     oracle_moves,
     oracle_subsumes,
     path_label_language,
@@ -547,17 +549,32 @@ class TestSparsePaths:
         assert merged > 1000
         assert knots > 0
 
-    def test_language_is_that_of_all_paths(self):
-        # The reference explores every path, not only sparse ones, and
-        # prunes nothing.
+    @staticmethod
+    def cases() -> list[tuple[Hda, int]]:
         edge = edge_automaton("a")
         cases = [(tensor_power(edge, 5), 5), (replicate(edge, 4), 4), (grid_automaton(), 4)]
         rnd = random.Random(3305)
         cases += [(tensor_hda(random_hda(rnd), random_hda(rnd)), 4) for _ in range(10)]
-        for automaton, bound in cases:
+        return cases
+
+    def test_language_is_that_of_all_paths(self):
+        # The reference explores every path, not only sparse ones, and
+        # prunes nothing.
+        for automaton, bound in self.cases():
             _, _, reached = TestAdvance.check(automaton, bound)
             accepted = {label for cell, label in reached if cell in automaton.accept}
             assert language(automaton, bound) == normalize(accepted, event_bound=bound)
+
+    def test_accepting_labels_are_interval(self):
+        # ``language`` hands these labels to the maxima pass without an
+        # interval test.
+        checked = 0
+        for automaton, bound in self.cases():
+            for cell, label, _ in _expanded(automaton, bound):
+                if cell in automaton.accept:
+                    assert oracle_is_interval(label), label
+                    checked += 1
+        assert checked >= 150
 
 
 class TestUnrepresentablePaths:

@@ -1,10 +1,11 @@
 """Tests for the bitmask kernels of ``hdalang.ipomset``.
 
 ``subsumes`` must return exactly the least witness that a search over
-all permutations finds, ``is_interval`` must agree with a forbidden
-suborder search and with ``interval_representation``, and
-the closure ``_closed`` must agree with a naive fixpoint, cyclic relations
-included.  The oracles share no code with the kernels.
+all permutations finds, and the identity exactly when it is a witness;
+``is_interval`` must agree with a forbidden suborder search and with
+``interval_representation``, and the closure ``_closed`` must agree with
+a naive fixpoint, cyclic relations included.  The oracles share no code
+with the kernels.
 """
 
 from __future__ import annotations
@@ -87,6 +88,51 @@ class TestSubsumesWitness:
                 found += witness is not None
         assert pairs >= 200
         assert found >= 50
+
+
+def _identity_fits(p: Ipomset, q: Ipomset) -> bool:
+    """Equal labels and interfaces index by index, and q's pairs among p's."""
+    return (
+        p.labels == q.labels
+        and p.sources == q.sources
+        and p.targets == q.targets
+        and q.precedence <= p.precedence
+    )
+
+
+class TestSubsumesIdentityRoute:
+    """The identity is returned exactly when the four conditions hold.
+
+    Pairs with more precedence in ``p`` that meet the conditions take the
+    identity route; hits on other pairs go through the search, so both
+    kinds occur and the least-witness tests above still reach the search.
+    """
+
+    @staticmethod
+    def check(pairs) -> tuple[int, int]:
+        routes = {"identity": 0, "search": 0}
+        for p, q in pairs:
+            witness = subsumes(p, q)
+            fits = _identity_fits(p, q)
+            assert (witness == tuple(range(p.size))) == fits, (p, q)
+            if witness is not None and len(p.precedence) > len(q.precedence):
+                routes["identity" if fits else "search"] += 1
+        return routes["identity"], routes["search"]
+
+    def test_every_pair_up_to_three_events(self):
+        identity_hits, search_hits = self.check(
+            (p, q) for group in _buckets(universe_up_to(3)) for p in group for q in group
+        )
+        assert identity_hits >= 50 and search_hits >= 50
+
+    def test_sample_of_four_events(self):
+        rnd = random.Random(404)
+        groups = [g for g in _buckets(universe(4)) if len(g) > 1]
+        identity_hits, search_hits = self.check(
+            (rnd.choice(group), rnd.choice(group))
+            for group in (rnd.choice(groups) for _ in range(4000))
+        )
+        assert identity_hits >= 50 and search_hits >= 50
 
 
 class TestIntervalMasks:
