@@ -4,25 +4,23 @@ A language is an order ideal in the subsumption preorder: whenever it
 contains a behaviour, it contains every more-ordered refinement of that
 behaviour.  Ideals over interval ipomsets are represented by their
 generators -- an antichain of maximal elements -- so a language value
-stays finite even though the ideal it denotes can be large.
+stays finite even though the ideal it denotes can be large; subsumption
+relates only ipomsets of equal size, so the operations are exact.
 
-Because subsumption only relates ipomsets of equal size, every operation
-here preserves the generator representation exactly; no approximation is
-involved.  :func:`expand` materialises the ideal up to an event budget,
-which is the bridge between this symbolic representation and the
-path-by-path semantics of automata.
+Interval-ness is decided where it is known.  Generators are interval by
+the ``Language`` invariant; a glue of interval ipomsets is interval
+(Fahrenberg, Johansen, Struth & Ziemiański, MSCS 2021); and a parallel
+product of two is interval exactly when one factor has no precedence
+pair, since one pair from each factor is a ``2+2`` and a ``2+2`` within
+one factor is impossible (Fishburn, J. Math. Psych. 1970).  So the
+operations hand interval results straight to the maxima pass
+:func:`_maxima`; only :func:`normalize`, for input no operation built,
+runs :func:`is_interval`.
 
-Ideals are materialised from the refinement orders of a generator, found
-by one search over closed orders on predecessor and successor bitmasks
-(:func:`_refinement_orders`).  It starts from the generator's own
-precedence and branches on one obstruction at a time (a ``2+2``, or a
-3-cycle with the inherited event order), adding one of the two pairs that
-every valid order above the obstruction must hold.  :func:`normalize`
-needs only the maximal members, which come from inclusion-minimal orders,
-so its search ends at the first valid order on each branch
-(:func:`_maximal_candidates`); :func:`extensions` needs every order, so
-its search goes on from each valid order by adding one concurrent pair at
-a time.
+Refinements come from one search over closed orders that branches on one
+obstruction at a time (:func:`_refinement_orders`): it stops at the first
+valid order on each branch for the maximal members
+(:func:`_maximal_candidates`) and goes on for :func:`extensions`.
 """
 
 from __future__ import annotations
@@ -84,21 +82,12 @@ class Language:
 def normalize(ipomsets: Iterable[Ipomset], event_bound: int | None = None) -> Language:
     """Build a language from any finite set of canonical ipomsets.
 
-    A non-interval ipomset cannot itself belong to a language, but its
-    refinements can: it is replaced by the maximal interval elements of
-    its ideal, so the denoted down-closure (within interval ipomsets) is
-    unchanged.  Duplicates and ipomsets subsumed by another member are
-    then dropped by :func:`_maxima`, leaving the maximal ones.
-
-    A non-interval ipomset is replaced only by the members of its ideal
-    that come from inclusion-minimal refinement orders (see
-    :func:`_maximal_candidates`); every maximal interval element is among
-    them, and the maxima pass drops the rest.  Those orders are found by
-    branching on obstructions, not by growing the whole ideal, so the cost
-    depends on how many distinct orders that search closes on its way to
-    the minimal ones, not on the size of the ideal: for four copies of
-    ``ab`` in parallel it closes 180 orders and ends at 55 valid ones, of
-    which 24 are minimal and keep 23 generators.
+    It serves input that no operation built, so each member is tested with
+    :func:`is_interval`.  A non-interval one is replaced by the members of
+    its ideal from inclusion-minimal refinement orders
+    (:func:`_maximal_candidates`), which include every maximal interval
+    element, so the denoted down-closure is unchanged; :func:`_maxima`
+    then keeps the maximal members.
 
     Raises:
         ValueError: ``event_bound`` is negative.
@@ -112,17 +101,17 @@ def normalize(ipomsets: Iterable[Ipomset], event_bound: int | None = None) -> La
     return _maxima(flat, event_bound)
 
 
-def _maxima(members: set[Ipomset], event_bound: int | None) -> Language:
+def _maxima(members: Iterable[Ipomset], event_bound: int | None) -> Language:
     """The language generated by the maxima of ``members``, all interval.
 
-    Shared by :func:`normalize` and :func:`hdalang.hda.language`, whose
-    path labels are interval by construction.  The maxima come from one
-    pass over the members sorted by their number of precedence pairs.  A
-    refinement has at least the pairs of what it refines, and as many only
-    when the two are equal, so a member can only be dominated by one with
-    strictly fewer pairs, which comes earlier.  Refinement is transitive,
-    so a dominated member is dominated by a maximal one, and each member
-    is tested only against the generators kept so far with its labels and
+    Each caller knows its members are interval (see the module docstring
+    and :func:`hdalang.hda.language`).  The maxima come from one pass over
+    the members sorted by their number of precedence pairs.  A refinement
+    has at least the pairs of what it refines, and as many only when the
+    two are equal, so a member can only be dominated by one with strictly
+    fewer pairs, which comes earlier.  Refinement is transitive, so a
+    dominated member is dominated by a maximal one, and each member is
+    tested only against the generators kept so far with its labels and
     numbers of sources and targets, which subsumption preserves: at most
     one call of :func:`subsumes` per pair of such members.  That key needs
     no bitmasks, so a member that meets no rival derives none.  The
@@ -147,8 +136,15 @@ def _maxima(members: set[Ipomset], event_bound: int | None) -> Language:
 
 
 def contains(lang: Language, p: Ipomset) -> bool:
-    """Ideal membership: does some generator subsume ``p``?"""
-    return any(subsumes(p, g) is not None for g in lang.generators)
+    """Ideal membership: does some generator subsume ``p``?
+
+    Only a generator of ``p``'s size with no more pairs than ``p`` can.
+    """
+    n, pairs = p.size, len(p.precedence)
+    return any(
+        g.size == n and len(g.precedence) <= pairs and subsumes(p, g) is not None
+        for g in lang.generators
+    )
 
 
 # --- rational operations ---------------------------------------------------
@@ -177,6 +173,8 @@ def seq_compose(first: Language, second: Language) -> Language:
     consistent event ordering likewise contribute nothing: such composites
     fall outside the representable universe, and every behaviour they
     would dominate is already dominated by a representable generator.
+    Glues of interval ipomsets are interval (Fahrenberg et al. 2021), so
+    they go straight to :func:`_maxima`.
     """
     out: set[Ipomset] = set()
     for p in first.generators:
@@ -185,49 +183,51 @@ def seq_compose(first: Language, second: Language) -> Language:
                 out.add(glue(p, q))
             except (SequentialMismatch, InternalOrderCycle):
                 continue
-    return normalize(out, _combined_bound(first, second))
+    return _maxima(out, _combined_bound(first, second))
 
 
 def par_compose(first: Language, second: Language) -> Language:
     """Parallel composition: parallel product of all generator pairs.
 
-    A parallel product of interval generators need not itself be interval
-    (two independent chains already contain the forbidden suborder), so
-    the products are handed to :func:`normalize`, which replaces each
-    such product by the maximal interval refinements it dominates.  When
-    the result carries an event bound, products too large to dominate any
-    member within the bound are dropped before that replacement.
+    A product of interval generators is interval exactly when one factor
+    has no precedence pair (Fishburn 1970); then it goes to :func:`_maxima`.
+    A product of two ordered factors is replaced by its candidate maximal
+    refinements (:func:`_maximal_candidates`).  When the result carries an
+    event bound, products too large to dominate any member within the
+    bound are dropped first.
     """
     bound = _combined_bound(first, second)
     out: set[Ipomset] = set()
+    ordered: set[Ipomset] = set()
     for p in first.generators:
         for q in second.generators:
-            if bound is not None and p.size + q.size > bound:
-                continue
-            out.add(parallel(p, q))
-    return normalize(out, bound)
+            if bound is None or p.size + q.size <= bound:
+                (ordered if p.precedence and q.precedence else out).add(parallel(p, q))
+    for r in ordered:
+        out |= _maximal_candidates(r)
+    return _maxima(out, bound)
 
 
 def par_closure_bounded(lang: Language, max_factors: int) -> Language:
     """Union of parallel powers ``lang**0 .. lang**max_factors``.
 
     The zeroth power is the unit language containing only the empty
-    ipomset, so the closure of the empty language is that unit.
+    ipomset, so the closure of the empty language is that unit.  Powers
+    are languages, so their generators go straight to :func:`_maxima`.
     """
     if max_factors < 0:
         raise ValueError("max_factors must be non-negative")
-    unit = Language(frozenset({EMPTY}))
-    acc = set(unit.generators)
-    power = unit
+    acc = {EMPTY}
+    power = _unchecked(Language, frozenset(acc), None)
     for _ in range(max_factors):
         power = par_compose(power, lang)
         acc |= power.generators
-    return normalize(acc, lang.event_bound)
+    return _maxima(acc, lang.event_bound)
 
 
 def union(first: Language, second: Language) -> Language:
-    """Union of ideals; generators are re-normalised jointly."""
-    return normalize(
+    """Union of ideals: the maxima of both (interval) generator sets."""
+    return _maxima(
         first.generators | second.generators, _combined_bound(first, second)
     )
 

@@ -23,6 +23,13 @@ Core claims exercised here:
   its ideal, on random members with 5-6 events and interfaces as well as
   on chain products; large products and a closure keep pinned generator
   counts.
+* The operations decide interval-ness without ``is_interval``: parallel
+  products are interval exactly when a factor is unordered and glues are
+  interval (both checked exhaustively with the oracles), ``union``,
+  ``seq_compose``, ``par_compose`` and ``par_closure_bounded`` equal their
+  ``normalize`` definitions, and only products of two ordered factors
+  reach ``_maximal_candidates``.  ``contains`` skips generators that
+  cannot subsume the member and agrees with the oracle.
 """
 
 from __future__ import annotations
@@ -64,6 +71,7 @@ from hdalang.samples import edge_automaton, grid_automaton
 from oracles import (
     oracle_down_set,
     oracle_extensions,
+    oracle_glue,
     oracle_is_interval,
     oracle_subsumes,
     random_ipomset,
@@ -665,3 +673,149 @@ class TestCompositionDistributes:
                 for q in expand(right, 2)
             ]
             assert is_equal(composed, normalize(member_wise))
+
+
+# --- interval by construction -------------------------------------------------
+
+
+def random_language(rnd: random.Random, max_events: int = 3) -> Language:
+    members = [random_ipomset(rnd, max_events) for _ in range(rnd.randint(1, 4))]
+    return normalize(members, rnd.choice([None, 4, 5]))
+
+
+def combined_bound(first: Language, second: Language) -> int | None:
+    bounds = [b for b in (first.event_bound, second.event_bound) if b is not None]
+    return min(bounds) if bounds else None
+
+
+def products_within(first: Language, second: Language, bound: int | None) -> list:
+    return [
+        parallel(p, q)
+        for p in first.generators
+        for q in second.generators
+        if bound is None or p.size + q.size <= bound
+    ]
+
+
+class TestIntervalByConstruction:
+    """The operations decide interval-ness themselves; ``normalize`` is the
+    route they skip, and gives the same ``Language`` values."""
+
+    def test_parallel_products_are_interval_unless_both_factors_are_ordered(self):
+        pool = universe_up_to(3, "a")
+        for p in pool:
+            for q in pool:
+                both_ordered = bool(p.precedence and q.precedence)
+                assert oracle_is_interval(parallel(p, q)) is not both_ordered
+
+    def test_defined_glues_are_interval(self):
+        pool = universe_up_to(3, "a")
+        defined = 0
+        for p in pool:
+            for q in pool:
+                if len(p.targets) != len(q.sources):
+                    continue
+                glued = oracle_glue(p, q)
+                if glued is not None:
+                    defined += 1
+                    assert oracle_is_interval(glued)
+        assert defined
+
+    def test_operations_equal_their_normalize_definitions(self):
+        rnd = random.Random(2101)
+        for _ in range(60):
+            first, second = random_language(rnd), random_language(rnd)
+            bound = combined_bound(first, second)
+            assert union(first, second) == normalize(
+                first.generators | second.generators, bound
+            )
+            glues = []
+            for p in first.generators:
+                for q in second.generators:
+                    try:
+                        glues.append(glue(p, q))
+                    except ValueError:
+                        continue
+            assert seq_compose(first, second) == normalize(glues, bound)
+            assert par_compose(first, second) == normalize(
+                products_within(first, second, bound), bound
+            )
+
+    def test_closure_equals_its_normalize_definition(self):
+        rnd = random.Random(2102)
+        for _ in range(25):
+            lang = random_language(rnd, 2)
+            acc, power = {EMPTY}, normalize([EMPTY])
+            for _ in range(3):
+                products = products_within(power, lang, lang.event_bound)
+                power = normalize(products, lang.event_bound)
+                acc |= power.generators
+            assert par_closure_bounded(lang, 3) == normalize(acc, lang.event_bound)
+
+    def test_operations_on_languages_run_no_interval_test(self, monkeypatch):
+        module = sys.modules["hdalang.language"]
+        real_is_interval = module.is_interval
+        real_candidates = module._maximal_candidates
+        tested, expanded = [], []
+
+        def counting_is_interval(p):
+            tested.append(p)
+            return real_is_interval(p)
+
+        def counting_candidates(q):
+            expanded.append(q)
+            return real_candidates(q)
+
+        rnd = random.Random(2103)
+        pairs = [(random_language(rnd), random_language(rnd)) for _ in range(40)]
+        monkeypatch.setattr(module, "is_interval", counting_is_interval)
+        monkeypatch.setattr(module, "_maximal_candidates", counting_candidates)
+        reached = 0
+        for first, second in pairs:
+            union(first, second)
+            seq_compose(first, second)
+            par_closure_bounded(first, 2)
+            assert tested == []
+            expanded.clear()
+            par_compose(first, second)
+            bound = combined_bound(first, second)
+            ordered = {
+                parallel(p, q)
+                for p in first.generators
+                for q in second.generators
+                if p.precedence and q.precedence
+                and (bound is None or p.size + q.size <= bound)
+            }
+            assert sorted(expanded, key=repr) == sorted(ordered, key=repr)
+            assert tested == []
+            reached += len(expanded)
+        assert reached
+
+
+class TestContainsFilter:
+    def test_agrees_with_the_oracle_on_random_languages(self, monkeypatch):
+        module = sys.modules["hdalang.language"]
+        real = module.subsumes
+        calls = []
+
+        def counting(p, q):
+            calls.append((p, q))
+            return real(p, q)
+
+        monkeypatch.setattr(module, "subsumes", counting)
+        rnd = random.Random(2104)
+        answers = []
+        for _ in range(60):
+            lang = random_language(rnd, 4)
+            members = [random_ipomset(rnd, 4) for _ in range(8)]
+            ideal = sorted(expand(lang, 4), key=repr)
+            members += rnd.sample(ideal, min(2, len(ideal)))
+            for p in members:
+                expected = any(oracle_subsumes(p, g) for g in lang.generators)
+                assert contains(lang, p) is expected
+                answers.append(expected)
+        assert True in answers and False in answers
+        assert all(
+            p.size == g.size and len(g.precedence) <= len(p.precedence)
+            for p, g in calls
+        )
