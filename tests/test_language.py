@@ -42,8 +42,10 @@ import pytest
 
 from hdalang import (
     EMPTY,
+    InternalOrderCycle,
     Language,
     NotInterval,
+    SequentialMismatch,
     contains,
     expand,
     extensions,
@@ -734,7 +736,7 @@ class TestIntervalByConstruction:
                 for q in second.generators:
                     try:
                         glues.append(glue(p, q))
-                    except ValueError:
+                    except (SequentialMismatch, InternalOrderCycle):
                         continue
             assert seq_compose(first, second) == normalize(glues, bound)
             assert par_compose(first, second) == normalize(
