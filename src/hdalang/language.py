@@ -26,7 +26,6 @@ valid order on each branch for the maximal members
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Sequence
 
 from hdalang.ipomset import (
@@ -61,7 +60,8 @@ class Language:
         event_bound: when set, the language is only known to be complete
             for ipomsets with at most this many events (languages read off
             automata are computed under such a budget).  ``None`` means
-            the generators describe the language at every size.
+            the generators describe the language at every size.  A
+            negative bound is refused with ``ValueError``.
     """
 
     generators: frozenset[Ipomset]
@@ -72,11 +72,9 @@ class Language:
         for g in self.generators:
             if not is_interval(g):
                 raise NotInterval(f"generator {g!r} is not an interval ipomset")
-        for g, h in combinations(self.generators, 2):
-            if subsumes(g, h) is not None or subsumes(h, g) is not None:
-                raise ValueError(
-                    "generators must form an antichain; use normalize()"
-                )
+        # The maxima pass drops exactly the generators another one refines.
+        if len(_maxima(self.generators, self.event_bound).generators) < len(self.generators):
+            raise ValueError("generators must form an antichain; use normalize()")
 
 
 def normalize(ipomsets: Iterable[Ipomset], event_bound: int | None = None) -> Language:
@@ -236,13 +234,17 @@ def restrict(lang: Language, max_events: int) -> Language:
     """Drop generators larger than ``max_events``.
 
     Subsumption preserves event counts, so small members of the ideal are
-    generated by small generators and the restriction is exact.
+    generated by small generators and the restriction is exact.  The result
+    is known complete up to ``max_events``, or up to the input's bound if
+    that is smaller.
 
     Raises:
         ValueError: ``max_events`` is negative.
     """
     if max_events < 0:
         raise ValueError("the event bound must be non-negative")
+    if lang.event_bound is not None:
+        max_events = min(lang.event_bound, max_events)
     return _unchecked(
         Language,
         frozenset(g for g in lang.generators if g.size <= max_events),

@@ -29,10 +29,10 @@ them; only the arrows a caller hands to a colimit are checked again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cache
+from dataclasses import dataclass
+from functools import cache, lru_cache
 from itertools import chain, combinations
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from hdalang.ipomset import _unchecked
 
@@ -217,121 +217,93 @@ def validate_precubical(
     the word of its cell with one position deleted, and lower/upper faces
     commute per the cubical interchange law.
 
-    A fast pass accepts valid data; only when it fails do the diagnostic
-    loops run, to word each violation.
+    Cell ids and words are judged one by one only when a bulk type test
+    fails; sequence words are then judged as tuples.  One walk over
+    ``faces`` words each bad face and files each good one as
+    ``rows[cell][2 p - 2 + nu]``, and distinct keys fill distinct slots.
+    Missing faces are listed after a fault or when the faces do not number
+    the slots; otherwise interchange is checked on the rows.
     """
-    return [] if _is_precubical(cells, faces) else _violations(cells, faces)
-
-
-def _is_precubical(cells: Mapping[str, Word], faces: Mapping[FaceKey, str]) -> bool:
-    """Whether :func:`_violations` finds nothing; ``False`` also when unsure.
-
-    It looks up each cell's ``2 d`` faces, checks their words, and then
-    checks interchange on them.  The faces found are distinct keys, so if
-    they number ``len(faces)`` and each key's position has type ``int``,
-    there is no other key: ``("e", 0, 1.0)`` would find ``("e", 0, 1)``.
-    """
-    try:
-        letters = [*chain.from_iterable(cells.values())]
-        if not (all(cells) and all(letters) and {str} >= {*map(type, cells), *map(type, letters)}):
-            return False
-        # A cell's faces in the order (0, 1), (1, 1), (0, 2), (1, 2), ...
-        near: dict[str, list[str]] = {}
-        for cid, word in cells.items():
-            row = near[cid] = []
-            for pos in range(1, len(word) + 1):
-                expected = word[: pos - 1] + word[pos:]
-                low, up = faces[(cid, 0, pos)], faces[(cid, 1, pos)]
-                if cells[low] != expected or cells[up] != expected:
-                    return False
-                row += low, up
-        if sum(map(len, near.values())) != len(faces):
-            return False
-        for row in near.values():
-            for a, b, e in _interchange(len(row) // 2):
-                if near[row[a]][b] != near[row[b]][e]:
-                    return False
-        return all(type(pos) is int for _, _, pos in faces)
-    except (KeyError, TypeError, ValueError):
-        return False
-
-
-@cache
-def _interchange(d: int) -> tuple[tuple[int, int, int], ...]:
-    """The interchange laws of a ``d``-cell, each as ``(a, b, e)``.
-
-    A cell's face ``(nu, p)`` is ``row[2 p - 2 + nu]``.  For ``i < j``,
-    deleting ``j`` then ``i`` equals deleting ``i`` then ``j - 1``, which
-    reads ``near[row[a]][b] == near[row[b]][e]``.
-    """
-    starts = combinations(range(0, 2 * d, 2), 2)
-    return tuple((j + mu, i + nu, j + mu - 2) for i, j in starts for nu in (0, 1) for mu in (0, 1))
-
-
-def _violations(cells: Mapping[str, Word], faces: Mapping[FaceKey, str]) -> list[str]:
-    """The diagnostic loops of :func:`validate_precubical`, one text per offence."""
     problems: list[str] = []
-    for cid, word in cells.items():
-        if not isinstance(cid, str) or not cid:
-            problems.append(f"cell id {cid!r} is not a non-empty string")
-        if not isinstance(word, Sequence):
-            problems.append(f"cell {cid!r} has a word that is not a sequence: {word!r}")
-        elif any(not isinstance(ell, str) or not ell for ell in word):
-            problems.append(f"cell {cid!r} has a word with an invalid letter: {word}")
-    if not all(isinstance(word, Sequence) for word in cells.values()):
-        return problems  # the loops below take each word's length and slices
+    words, deletions = cells.values(), _deletions
+    letters = [*chain.from_iterable(words)] if {tuple} >= {*map(type, words)} else [None]
+    if not (all(cells) and all(letters) and {str} >= {*map(type, cells), *map(type, letters)}):
+        for cid, word in cells.items():
+            if not isinstance(cid, str) or not cid:
+                problems.append(f"cell id {cid!r} is not a non-empty string")
+            if not isinstance(word, Sequence):
+                problems.append(f"cell {cid!r} has a word that is not a sequence: {word!r}")
+            elif any(not isinstance(ell, str) or not ell for ell in word):
+                problems.append(f"cell {cid!r} has a word with an invalid letter: {word}")
+        if not all(isinstance(word, Sequence) for word in words):
+            return problems  # the checks below take each word's length and slices
+        cells = {cid: tuple(word) for cid, word in cells.items()}
+        deletions = _deletions.__wrapped__  # a bad letter may be unhashable
 
+    rows = {cid: [None] * (2 * len(word)) for cid, word in cells.items()}
+    minus = {cid: deletions(word) for cid, word in cells.items()}
     for key, tgt in faces.items():
         try:
             cid, nu, pos = key
         except (TypeError, ValueError):
             problems.append(f"face key {key!r} is not a (cell, direction, position) triple")
             continue
-        if cid not in cells:
+        cut = minus.get(cid)
+        if cut is None:
             problems.append(f"face of unknown cell {cid!r}")
             continue
-        d = len(cells[cid])
         if nu not in (0, 1):
             problems.append(f"face ({cid!r}, {nu}, {pos}) has direction outside {{0, 1}}")
-        if not isinstance(pos, int) or not 1 <= pos <= d:
-            problems.append(f"face ({cid!r}, {nu}, {pos!r}) position outside 1..{d}")
+        if not isinstance(pos, int) or not 1 <= pos <= len(cut):
+            problems.append(f"face ({cid!r}, {nu}, {pos!r}) position outside 1..{len(cut)}")
             continue
-        if not isinstance(tgt, Hashable) or tgt not in cells:
+        try:
+            found = cells[tgt]
+        except (KeyError, TypeError):
             problems.append(f"face ({cid!r}, {nu}, {pos}) points at unknown cell {tgt!r}")
             continue
-        # As tuples, as ``PrecubicalSet`` stores words: any sequence slices.
-        word, found = tuple(cells[cid]), tuple(cells[tgt])
-        expected = word[: pos - 1] + word[pos:]
-        if found != expected:
+        if found != cut[pos - 1]:
             problems.append(
-                f"face ({cid!r}, {nu}, {pos}) should have word {expected} "
+                f"face ({cid!r}, {nu}, {pos}) should have word {cut[pos - 1]} "
                 f"but {tgt!r} has {found}"
             )
+        # A face with a bad direction is already a fault, so its slot is moot.
+        rows[cid][2 * pos - 1 if nu else 2 * pos - 2] = tgt
 
-    for cid, word in cells.items():
-        d = len(word)
-        for nu in (0, 1):
-            for pos in range(1, d + 1):
-                if (cid, nu, pos) not in faces:
-                    problems.append(f"cell {cid!r} is missing face ({nu}, {pos})")
-
-    if problems:
-        return problems
-
-    # Interchange: deleting positions i < j in either order agrees.
-    for cid, word in cells.items():
-        d = len(word)
-        for i, j in combinations(range(1, d + 1), 2):
-            for nu in (0, 1):
-                for mu in (0, 1):
-                    one = faces[(faces[(cid, mu, j)], nu, i)]
-                    two = faces[(faces[(cid, nu, i)], mu, j - 1)]
-                    if one != two:
-                        problems.append(
-                            f"faces of {cid!r} at positions ({nu},{i}) and "
-                            f"({mu},{j}) do not commute: {one!r} != {two!r}"
-                        )
+    if problems or len(faces) != sum(map(len, rows.values())):
+        return problems + [
+            f"cell {cid!r} is missing face ({nu}, {pos})"
+            for cid, word in cells.items() for nu in (0, 1) for pos in range(1, len(word) + 1)
+            if (cid, nu, pos) not in faces
+        ]
+    for cid, row in rows.items():
+        for a, b, e, law in _interchange(len(row) // 2):
+            if rows[row[a]][b] != rows[row[b]][e]:
+                nu, i, mu, j = law
+                problems.append(
+                    f"faces of {cid!r} at positions ({nu},{i}) and ({mu},{j}) do not "
+                    f"commute: {rows[row[a]][b]!r} != {rows[row[b]][e]!r}"
+                )
     return problems
+
+
+@lru_cache(maxsize=1 << 12)
+def _deletions(word: Word) -> tuple[Word, ...]:
+    """``word`` with each position deleted in turn; bounded, as words are caller data."""
+    return tuple(word[:p] + word[p + 1 :] for p in range(len(word)))
+
+
+@cache
+def _interchange(d: int) -> tuple[tuple[int, int, int, tuple[int, int, int, int]], ...]:
+    """The interchange laws of a ``d``-cell, each as ``(a, b, e, (nu, i, mu, j))``.
+
+    For ``i < j``, deleting ``(mu, j)`` then ``(nu, i)`` equals deleting
+    ``(nu, i)`` then ``(mu, j - 1)``: ``rows[row[a]][b] == rows[row[b]][e]``.
+    """
+    return tuple(
+        (2 * j - 2 + mu, 2 * i - 2 + nu, 2 * j - 4 + mu, (nu, i, mu, j))
+        for i, j in combinations(range(1, d + 1), 2) for nu in (0, 1) for mu in (0, 1)
+    )
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,9 @@ over all event bijections, interval recognition by searching for a
 forbidden suborder, principal ideals by filtering every strict order,
 sequential composition by naive relation-building over tagged event
 names, step tables by applying one elementary face at a time, accepting
-paths by a walk over that step table, colimit classes by merging sets,
-and exhaustive enumeration of every canonical ipomset up to a size.
+paths by a walk over that step table, precubical sets by checking the
+definition face by face, colimit classes by merging sets, and exhaustive
+enumeration of every canonical ipomset up to a size.
 Random structures are always drawn from a caller-provided seeded
 generator so failures replay.
 """
@@ -494,6 +495,42 @@ def oracle_moves(carrier: PrecubicalSet) -> dict[str, list[tuple[Step, str, tupl
                 ups[face(high, 0, positions)].append((UpStep(chosen), high, word))
                 downs[high].append((DownStep(chosen), face(high, 1, positions), word))
     return {cell: ups[cell] + downs[cell] for cell in carrier.cells}
+
+
+def oracle_is_precubical(cells: dict, faces: dict) -> bool:
+    """Whether ``cells`` and ``faces`` form a precubical set, by the definition.
+
+    Cell ids and letters are non-empty strings and words are tuples, as
+    :class:`PrecubicalSet` stores them.  A cell of dimension ``d`` has
+    exactly the face keys ``(cell, nu, p)`` for ``nu`` in {0, 1} and
+    integer ``p`` in 1..d, and the keys of all cells are all the keys.
+    Face ``(nu, p)`` has the cell's word with position ``p`` deleted.  For
+    ``i < j``, deleting ``(mu, j)`` then ``(nu, i)`` reaches the same cell
+    as deleting ``(nu, i)`` then ``(mu, j - 1)``.
+    """
+    for cid, word in cells.items():
+        if not (isinstance(cid, str) and cid and isinstance(word, tuple)):
+            return False
+        if not all(isinstance(letter, str) and letter for letter in word):
+            return False
+    keys = [(cid, nu, p) for cid, word in cells.items() for nu in (0, 1)
+            for p in range(1, len(word) + 1)]
+    for key in faces:
+        if not (isinstance(key, tuple) and len(key) == 3 and isinstance(key[2], int)):
+            return False
+    if len(faces) != len(keys) or any(key not in faces for key in keys):
+        return False
+    for (cid, nu, p), target in faces.items():
+        if cells.get(target) != cells[cid][: p - 1] + cells[cid][p:]:
+            return False
+    for cid, word in cells.items():
+        for i, j in combinations(range(1, len(word) + 1), 2):
+            for nu, mu in product((0, 1), repeat=2):
+                one = faces[(faces[(cid, mu, j)], nu, i)]
+                two = faces[(faces[(cid, nu, i)], mu, j - 1)]
+                if one != two:
+                    return False
+    return True
 
 
 def oracle_colimit_names(

@@ -599,6 +599,55 @@ class TestCliFailures:
         )
         assert read_json(capsys)["error"] == "ValueError"
 
+    def test_carrier_violations_are_pinned_in_order(self, tmp_path, capsys):
+        # Faults are listed face by face in document order, then the
+        # missing faces; interchange is judged only when no other fault is.
+        faults = {"type": "hda", "start": ["v"], "accept": ["v"], "cells": [
+            {"id": "v", "word": []},
+            {"id": "w", "word": []},
+            {"id": "e", "word": ["a"], "faces": {"0,1": "v", "0,2": "w"}},
+            {"id": "f", "word": ["b"], "faces": {"0,1": "ghost", "1,1": "e"}},
+        ]}
+        square = {"type": "hda", "start": [], "accept": [], "cells": [
+            {"id": "u", "word": []},
+            {"id": "v", "word": []},
+            {"id": "w", "word": []},
+            {"id": "a1", "word": ["a"], "faces": {"0,1": "u", "1,1": "v"}},
+            {"id": "a2", "word": ["a"], "faces": {"0,1": "u", "1,1": "w"}},
+            {"id": "b1", "word": ["b"], "faces": {"0,1": "u", "1,1": "u"}},
+            {"id": "sq", "word": ["a", "b"],
+             "faces": {"0,1": "b1", "1,1": "b1", "0,2": "a1", "1,2": "a2"}},
+        ]}
+        expected = {
+            "faults": (
+                '{\n  "detail": "face (\'e\', 0, 2) position outside 1..1; '
+                "face ('f', 0, 1) points at unknown cell 'ghost'; "
+                "face ('f', 1, 1) should have word () but 'e' has ('a',); "
+                "cell 'e' is missing face (1, 1)\",\n"
+                '  "error": "PrecubicalInvariant",\n'
+                '  "violations": [\n'
+                "    \"face ('e', 0, 2) position outside 1..1\",\n"
+                "    \"face ('f', 0, 1) points at unknown cell 'ghost'\",\n"
+                "    \"face ('f', 1, 1) should have word () but 'e' has ('a',)\",\n"
+                "    \"cell 'e' is missing face (1, 1)\"\n"
+                "  ]\n}\n"
+            ),
+            "square": (
+                "{\n  \"detail\": \"faces of 'sq' at positions (1,1) and (0,2) "
+                "do not commute: 'v' != 'u'; faces of 'sq' at positions (1,1) "
+                "and (1,2) do not commute: 'w' != 'u'\",\n"
+                '  "error": "PrecubicalInvariant",\n'
+                '  "violations": [\n'
+                "    \"faces of 'sq' at positions (1,1) and (0,2) do not commute: 'v' != 'u'\",\n"
+                "    \"faces of 'sq' at positions (1,1) and (1,2) do not commute: 'w' != 'u'\"\n"
+                "  ]\n}\n"
+            ),
+        }
+        for name, doc in (("faults", faults), ("square", square)):
+            path = write_doc(tmp_path, f"{name}.json", doc)
+            assert main(["validate", path]) == 1
+            assert capsys.readouterr().out == expected[name], name
+
 
 class TestHashSeed:
     def test_language_output_does_not_depend_on_hashing(self, tmp_path):

@@ -3,8 +3,9 @@
 Core claims exercised here:
 
 * ``Language`` holds an antichain of interval generators and rejects
-  non-interval input; ``normalize``, ``restrict`` and ``expand`` refuse a
-  negative event bound.
+  non-interval input and comparable generators; ``Language``,
+  ``normalize``, ``restrict`` and ``expand`` refuse a negative event
+  bound, and ``restrict`` never widens the bound it is given.
 * ``normalize`` drops subsumed members, keeping the maxima a brute-force
   scan finds whatever the input order, with one ``subsumes`` call per
   member against each generator kept so far with its bag of labels and
@@ -109,6 +110,28 @@ class TestLanguageConstruction:
         conc = from_concurrent(["a", "b"])
         with pytest.raises(ValueError):
             Language(generators=frozenset({chain, conc}))
+
+    def test_antichain_check_matches_pairwise_subsumption(self):
+        # Each pair, and each triple of mixed sizes, of small members:
+        # ``Language`` refuses exactly the sets in which one member
+        # refines another.
+        pool = [p for p in universe_up_to(2) if oracle_is_interval(p)]
+        sets = [*combinations(pool, 2), *combinations(pool[::7], 3)]
+        refused = 0
+        for members in sets:
+            comparable = any(oracle_subsumes(g, h) for g in members for h in members if g != h)
+            try:
+                Language(frozenset(members))
+            except ValueError:
+                refused += 1
+                assert comparable, members
+            else:
+                assert not comparable, members
+        assert 0 < refused < len(sets)
+
+    def test_language_refuses_a_negative_event_bound(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            Language(frozenset({point("a")}), -1)
 
     def test_normalize_prunes_subsumed_members(self):
         chain = from_chain(["a", "b"])
@@ -466,6 +489,13 @@ class TestSetOperations:
         got = restrict(lang, 2)
         assert got.generators == frozenset({point("a")})
         assert got.event_bound == 2
+
+    def test_restrict_keeps_the_tighter_event_bound(self):
+        lang = normalize([point("a"), from_concurrent(["a", "a"])], event_bound=1)
+        got = restrict(lang, 5)
+        assert got.generators == frozenset({point("a")})
+        assert got.event_bound == 1
+        assert restrict(normalize([point("a")], 4), 2).event_bound == 2
 
     def test_restrict_refuses_a_negative_event_bound(self):
         with pytest.raises(ValueError):
