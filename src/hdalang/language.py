@@ -6,6 +6,8 @@ behaviour.  Ideals over interval ipomsets are represented by their
 generators -- an antichain of maximal elements -- so a language value
 stays finite even though the ideal it denotes can be large; subsumption
 relates only ipomsets of equal size, so the operations are exact.
+The generators are the ideal's maximal elements, so language equality is
+equality of generator sets, as isomorphism is plain equality of ipomsets.
 
 Interval-ness is decided where it is known.  Generators are interval by
 the ``Language`` invariant; a glue of interval ipomsets is interval
@@ -26,6 +28,7 @@ valid order on each branch for the maximal members
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from hdalang.ipomset import (
@@ -103,44 +106,40 @@ def _maxima(members: Iterable[Ipomset], event_bound: int | None) -> Language:
     """The language generated by the maxima of ``members``, all interval.
 
     Each caller knows its members are interval (see the module docstring
-    and :func:`hdalang.hda.language`).  The maxima come from one pass over
-    the members sorted by their number of precedence pairs.  A refinement
-    has at least the pairs of what it refines, and as many only when the
-    two are equal, so a member can only be dominated by one with strictly
-    fewer pairs, which comes earlier.  Refinement is transitive, so a
-    dominated member is dominated by a maximal one, and each member is
-    tested only against the generators kept so far with its labels and
-    numbers of sources and targets, which subsumption preserves: at most
-    one call of :func:`subsumes` per pair of such members.  That key needs
-    no bitmasks, so a member that meets no rival derives none.  The
-    generators kept do not depend on the input order or on hashing; how
-    many calls a dominated member takes before one hits does, as members
-    with equal pair counts come in set order.
+    and :func:`hdalang.hda.language`).  One pass over the members sorted
+    by pair count keeps the maxima: a refinement has more pairs than what
+    it refines unless the two are equal, so a member can only be dominated
+    by an earlier one, and by transitivity by a kept one.  Subsumption
+    keeps labels and the numbers of sources and targets, so a member is
+    tried only against the kept generators with that key, at most one
+    :func:`subsumes` call per pair, and the first member of a key is kept
+    with none.  The generators kept do not depend on the input order or
+    on hashing; how many calls a dominated member takes before one hits
+    does, as members with equal pair counts come in set order.
     """
     if event_bound is not None and event_bound < 0:
         raise ValueError("the event bound must be non-negative")
-    keep: list[Ipomset] = []
     rivals: dict[tuple[int, int, tuple[str, ...]], list[Ipomset]] = {}
-    for p in sorted(members, key=lambda member: len(member.precedence)):
-        pairs = len(p.precedence)
+    for pairs, p in sorted([(len(m.precedence), m) for m in members], key=itemgetter(0)):
         key = (len(p.sources), len(p.targets), tuple(sorted(p.labels)))
-        same_key = rivals.setdefault(key, [])
-        if not any(
+        same_key = rivals.get(key)
+        if same_key is None:
+            rivals[key] = [p]
+        elif not any(
             len(g.precedence) < pairs and subsumes(p, g) is not None for g in same_key
         ):
             same_key.append(p)
-            keep.append(p)
-    return _unchecked(Language, frozenset(keep), event_bound)
+    return _unchecked(Language, frozenset().union(*rivals.values()), event_bound)
 
 
 def contains(lang: Language, p: Ipomset) -> bool:
-    """Ideal membership: does some generator subsume ``p``?
+    """Ideal membership: ``p`` is a generator or strictly refines one.
 
-    Only a generator of ``p``'s size with no more pairs than ``p`` can.
+    A generator that ``p`` strictly refines has its size and fewer pairs.
     """
     n, pairs = p.size, len(p.precedence)
-    return any(
-        g.size == n and len(g.precedence) <= pairs and subsumes(p, g) is not None
+    return p in lang.generators or any(
+        g.size == n and len(g.precedence) < pairs and subsumes(p, g) is not None
         for g in lang.generators
     )
 
@@ -157,9 +156,7 @@ def _combined_bound(first: Language, second: Language) -> int | None:
     minimum of the stated bounds is sound; an unbounded operand imposes
     nothing.
     """
-    bounds = [
-        b for b in (first.event_bound, second.event_bound) if b is not None
-    ]
+    bounds = [b for b in (first.event_bound, second.event_bound) if b is not None]
     return min(bounds) if bounds else None
 
 
@@ -261,8 +258,13 @@ def is_subset(first: Language, second: Language) -> bool:
 
 
 def is_equal(first: Language, second: Language) -> bool:
-    """Ideal equality (event bounds are bookkeeping and not compared)."""
-    return is_subset(first, second) and is_subset(second, first)
+    """Ideal equality: equal generator sets (event bounds are not compared).
+
+    Generators are an antichain (checked by ``Language(...)``, kept by each
+    ``_unchecked`` builder), and in the partial order :func:`subsumes` an
+    antichain is the set of maxima of the ideal it generates.
+    """
+    return first.generators == second.generators
 
 
 # --- expansion ----------------------------------------------------------------
@@ -433,9 +435,7 @@ def _maximal_candidates(q: Ipomset) -> set[Ipomset]:
     n = q.size
     leaves: list[tuple[int, _Order]] = []
     for order in _refinement_orders(q, every=False):
-        relation = 0
-        for x, mask in enumerate(order[0]):
-            relation |= mask << x * n
+        relation = sum(mask << x * n for x, mask in enumerate(order[0]))
         leaves.append((relation, order))
     leaves.sort(key=lambda item: item[0].bit_count())
     minimal: list[int] = []
@@ -456,8 +456,7 @@ def extensions(q: Ipomset) -> frozenset[Ipomset]:
     subsumption witness shows that every refinement arises from a
     refinement order, and renumbering twins from a twin-respecting one.
     """
-    orders = _refinement_orders(q, every=True)
-    return frozenset(_refinement(q, order) for order in orders)
+    return frozenset(_refinement(q, order) for order in _refinement_orders(q, every=True))
 
 
 def expand(lang: Language, max_events: int) -> frozenset[Ipomset]:
@@ -471,8 +470,6 @@ def expand(lang: Language, max_events: int) -> frozenset[Ipomset]:
     """
     if max_events < 0:
         raise ValueError("the event bound must be non-negative")
-    out: set[Ipomset] = set()
-    for g in lang.generators:
-        if g.size <= max_events:
-            out |= extensions(g)
-    return frozenset(out)
+    return frozenset().union(
+        *(extensions(g) for g in lang.generators if g.size <= max_events)
+    )

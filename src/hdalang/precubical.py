@@ -470,20 +470,23 @@ def tensor(x: PrecubicalSet, y: PrecubicalSet) -> PrecubicalSet:
     Raises:
         PrecubicalInvariant: two pairs of cells share a tensor id.
     """
+    # One id per pair of cells, made once: ``ids[xc][yc]``.
+    ids = {xc: {yc: tensor_cell_id(xc, yc) for yc in y.cells} for xc in x.cells}
     cells: dict[str, Word] = {}
     faces: dict[FaceKey, str] = {}
     for xc, xw in x.cells.items():
+        row = ids[xc]
         for yc, yw in y.cells.items():
-            cid = tensor_cell_id(xc, yc)
+            cid = row[yc]
             if cid in cells:
                 raise PrecubicalInvariant([f"tensor cell id collision at {cid!r}"])
             cells[cid] = tensor_word(xw, yw)
             dx = len(xw)
             for nu in (0, 1):
                 for pos in range(1, dx + 1):
-                    faces[(cid, nu, pos)] = tensor_cell_id(x.faces[(xc, nu, pos)], yc)
+                    faces[cid, nu, pos] = ids[x.faces[xc, nu, pos]][yc]
                 for pos in range(1, len(yw) + 1):
-                    faces[(cid, nu, dx + pos)] = tensor_cell_id(xc, y.faces[(yc, nu, pos)])
+                    faces[cid, nu, dx + pos] = row[y.faces[yc, nu, pos]]
     return _unchecked(PrecubicalSet, cells, faces)
 
 

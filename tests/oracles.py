@@ -181,14 +181,8 @@ def _role_bijections(p: Ipomset, q: Ipomset) -> Iterator[tuple[int, ...]]:
     ``f[x]`` is the image of ``x``.  There is none when the two ipomsets
     have different numbers of events of some role.
     """
-
-    def classes(r: Ipomset) -> dict[tuple, list[int]]:
-        out: dict[tuple, list[int]] = {}
-        for x, label in enumerate(r.labels):
-            out.setdefault((label, x in r.sources, x in r.targets), []).append(x)
-        return out
-
-    mine, theirs = classes(p), classes(q)
+    mine = _role_classes(p.labels, p.sources, p.targets)
+    theirs = _role_classes(q.labels, q.sources, q.targets)
     if {role: len(xs) for role, xs in mine.items()} != {
         role: len(us) for role, us in theirs.items()
     }:
@@ -200,6 +194,19 @@ def _role_bijections(p: Ipomset, q: Ipomset) -> Iterator[tuple[int, ...]]:
             for x, u in zip(mine[role], image):
                 f[x] = u
         yield tuple(f)
+
+
+@lru_cache(maxsize=None)
+def _role_classes(labels: tuple, sources: frozenset, targets: frozenset) -> dict:
+    """The events of each role, by value: the answer depends on nothing else.
+
+    Maps each role ``(label, is source, is target)`` to its events in
+    index order.  Callers only read the cached dict.
+    """
+    out: dict[tuple, list[int]] = {}
+    for x, label in enumerate(labels):
+        out.setdefault((label, x in sources, x in targets), []).append(x)
+    return out
 
 
 def is_witness(p: Ipomset, q: Ipomset, f: tuple[int, ...]) -> bool:

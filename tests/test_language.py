@@ -31,6 +31,11 @@ Core claims exercised here:
   ``normalize`` definitions, and only products of two ordered factors
   reach ``_maximal_candidates``.  ``contains`` skips generators that
   cannot subsume the member and agrees with the oracle.
+* ``is_equal``, ``is_subset`` and ``contains`` agree with mutual
+  containment decided by ``oracle_subsumes`` alone, on random pairs and
+  on pairs equal by construction (``union`` both ways round, both sides
+  of distributivity, the unit of ``par_compose``, two event bounds), and
+  ``is_equal`` compares generator sets without a ``subsumes`` call.
 """
 
 from __future__ import annotations
@@ -851,3 +856,76 @@ class TestContainsFilter:
             p.size == g.size and len(g.precedence) <= len(p.precedence)
             for p, g in calls
         )
+
+
+def oracle_contains(lang: Language, p: Ipomset) -> bool:
+    return any(oracle_subsumes(p, g) for g in lang.generators)
+
+
+def oracle_is_subset(first: Language, second: Language) -> bool:
+    return all(oracle_contains(second, g) for g in first.generators)
+
+
+class TestEqualityByGenerators:
+    """``is_equal`` compares generator sets; mutual containment decided
+    with ``oracle_subsumes`` alone must give the same answers."""
+
+    def pairs(self, rnd: random.Random) -> list[tuple[Language, Language, bool]]:
+        # Each pair is built so that it is equal (``True``) or is drawn at
+        # random (``False``); the oracle decides the random ones.
+        out = []
+        for _ in range(30):
+            a, b = random_language(rnd), random_language(rnd)
+            out.append((a, b, False))
+            out.append((union(a, b), union(b, a), True))
+            out.append((par_compose(UNIT_LANGUAGE, a), a, True))
+            out.append((a, union(a, b), False))
+            members = [random_ipomset(rnd, 3) for _ in range(rnd.randint(1, 4))]
+            out.append((normalize(members, 3), normalize(members, 5), True))
+        for _ in range(15):
+            # Unbounded, so that no product is dropped on one side only.
+            a, b, c = (normalize(random_language(rnd, 2).generators) for _ in range(3))
+            left = par_compose(a, union(b, c))
+            out.append((left, union(par_compose(a, b), par_compose(a, c)), True))
+            out.append((left, par_compose(a, b), False))
+        return out
+
+    def test_agrees_with_mutual_containment(self):
+        kinds = {"equal": 0, "strict subset": 0, "incomparable": 0, "unequal, one size": 0}
+        for first, second, built_equal in self.pairs(random.Random(2301)):
+            forward = oracle_is_subset(first, second)
+            backward = oracle_is_subset(second, first)
+            assert is_subset(first, second) is forward
+            assert is_subset(second, first) is backward
+            assert is_equal(first, second) is (forward and backward)
+            assert is_equal(second, first) is (forward and backward)
+            if built_equal:
+                assert forward and backward
+            kinds[
+                "equal" if forward and backward
+                else "strict subset" if forward or backward
+                else "incomparable"
+            ] += 1
+            # Unequal pairs with as many generators on each side.
+            kinds["unequal, one size"] += not (forward and backward) and len(
+                first.generators
+            ) == len(second.generators)
+            for g in first.generators | second.generators:
+                assert contains(first, g) is oracle_contains(first, g)
+                assert contains(second, g) is oracle_contains(second, g)
+        assert all(kinds.values()), kinds
+
+    def test_is_equal_makes_no_subsumes_call(self, monkeypatch):
+        module = sys.modules["hdalang.language"]
+        real = module.subsumes
+        calls = []
+
+        def counting(p, q):
+            calls.append((p, q))
+            return real(p, q)
+
+        pairs = self.pairs(random.Random(2303))
+        monkeypatch.setattr(module, "subsumes", counting)
+        answers = {is_equal(first, second) for first, second, _ in pairs}
+        assert answers == {True, False}
+        assert calls == []
