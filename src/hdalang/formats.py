@@ -26,25 +26,28 @@ a ``"type"`` field:
 Serialisation is deterministic: keys sorted, lists in canonical order,
 two-space indentation and a trailing newline, so identical values produce
 byte-identical files: :func:`serialize` equals ``json.dumps(doc, indent=2,
-sort_keys=True) + "\n"`` byte for byte, without the pure-Python encoder
-that ``indent`` selects.  Parsing checks document structure and raises
-:class:`DocumentError`, formatting its message only on failure; the domain
-invariants of the parsed value are then checked by the package's
-constructors, whose errors propagate unchanged.
+sort_keys=True) + "\n"`` byte for byte.  It writes the six shapes above
+by template: each field by the writer of its key, and each cell by one
+template per dimension.  Every other value, and any document that strays
+from these shapes in a key, a type or a container, goes to json.dumps.
+Parsing checks document structure and raises :class:`DocumentError`,
+formatting its message only on failure; the domain invariants of the
+parsed value are then checked by the package's constructors, whose errors
+propagate unchanged.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-from itertools import combinations
+from itertools import chain, combinations
 from json.encoder import encode_basestring_ascii as _string
 from typing import Any, Callable, Iterable, Mapping, NamedTuple
 
-from hdalang.hda import Hda
-from hdalang.ipomset import Ipomset, validate
+from hdalang.hda import Hda, _check_legs
+from hdalang.ipomset import Ipomset, _unchecked, validate
 from hdalang.language import Language, normalize
-from hdalang.precubical import PrecubicalSet
+from hdalang.precubical import PrecubicalInvariant, PrecubicalSet, validate_precubical
 
 Doc = dict[str, Any]
 
@@ -56,8 +59,9 @@ class DocumentError(ValueError):
 # --- helpers -------------------------------------------------------------------
 
 
-def _expect(condition: bool, message: str) -> None:
+def _expect(condition: bool, message: str = "not a shape the package writes") -> None:
     # Only for constant messages: a formatted one is built inline, on failure.
+    # The default is the writers' refusal, which serialize never lets out.
     if not condition:
         raise DocumentError(message)
 
@@ -168,9 +172,17 @@ def _ipomset_sort_key(p: Ipomset) -> tuple:
 
 
 @functools.cache
-def _face_keys(dim: int) -> tuple[tuple[str, int, int], ...]:
-    """The ``"<nu>,<position>"`` face keys of a ``dim``-cell, each with nu and position."""
-    return tuple((f"{nu},{pos}", nu, pos) for nu in (0, 1) for pos in range(1, dim + 1))
+def _cell_form(dim: int) -> tuple[tuple[tuple[str, int, int], ...], tuple[str, ...], str]:
+    """A ``dim``-cell's face keys with nu and position, the keys sorted, and its template.
+
+    The template writes the cell two levels deep from the face targets in
+    sorted key order, the id and the letters, each already written.
+    """
+    faces = tuple((f"{nu},{pos}", nu, pos) for nu in (0, 1) for pos in range(1, dim + 1))
+    keys = tuple(sorted(key for key, _, _ in faces))
+    table = _block([f'"{key}": %s' for key in keys], "      ", "{}")
+    form = ['"faces": ' + table, '"id": %s', '"word": ' + _block(["%s"] * dim, "      ")]
+    return faces, keys, _block(form, "    ", "{}")
 
 
 def _cells_to_doc(carrier: PrecubicalSet) -> list[Doc]:
@@ -178,12 +190,28 @@ def _cells_to_doc(carrier: PrecubicalSet) -> list[Doc]:
     out = []
     for cid in carrier.sorted_cells():
         word = cells[cid]
-        table = {key: faces[(cid, nu, pos)] for key, nu, pos in _face_keys(len(word))}
+        table = {key: faces[(cid, nu, pos)] for key, nu, pos in _cell_form(len(word))[0]}
         out.append({"id": cid, "word": list(word), "faces": table})
     return out
 
 
-def _cells_from_doc(doc: Mapping[str, Any]) -> tuple[dict, dict]:
+def _cells_text(cells: Any) -> str:
+    """A list of cell documents, written as a field of a top-level object."""
+    texts, tables = [], []
+    for cell in _typed(cells, list, dict):
+        faces, word = cell["faces"], cell["word"]
+        _, keys, form = _cell_form(len(word))
+        _expect(len(cell) == 3 and type(faces) is dict and type(word) is list
+                and len(faces) == len(keys))
+        targets = map(faces.__getitem__, keys)
+        texts.append(form % (*map(_string, targets), _string(cell["id"]), *map(_string, word)))
+        tables.append(faces)
+    _expect({*map(type, chain.from_iterable(cells + tables))} <= {str})
+    return _block(texts)
+
+
+def _carrier_from_doc(doc: Mapping[str, Any], marks: tuple[str, ...] = ()) -> PrecubicalSet:
+    """The carrier of a cell document whose ``marks`` are lists of ids, checked once."""
     raw = doc.get("cells")
     _expect(isinstance(raw, list), "cells must be a list")
     cells: dict[str, tuple[str, ...]] = {}
@@ -211,7 +239,14 @@ def _cells_from_doc(doc: Mapping[str, Any]) -> tuple[dict, dict]:
             if not isinstance(tgt, str):
                 raise DocumentError(f"cell {cid!r} face {key!r} must name a cell")
             faces[(cid, *at)] = tgt
-    return cells, faces
+    for field in marks:
+        value = doc.get(field, [])
+        if not (isinstance(value, list) and all(isinstance(c, str) for c in value)):
+            raise DocumentError(f"{field} must be a list of cell ids")
+    problems = validate_precubical(cells, faces)
+    if problems:
+        raise PrecubicalInvariant(problems)
+    return _unchecked(PrecubicalSet, cells, faces)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -230,8 +265,7 @@ def precubical_to_doc(carrier: PrecubicalSet) -> Doc:
 
 def precubical_from_doc(doc: Mapping[str, Any]) -> PrecubicalSet:
     _expect(doc.get("type") == "precubical", "expected a precubical document")
-    cells, faces = _cells_from_doc(doc)
-    return PrecubicalSet(cells, faces)
+    return _carrier_from_doc(doc)
 
 
 def hda_to_doc(automaton: Hda) -> Doc:
@@ -243,12 +277,7 @@ def hda_to_doc(automaton: Hda) -> Doc:
 
 def hda_from_doc(doc: Mapping[str, Any]) -> Hda:
     _expect(doc.get("type") == "hda", "expected an hda document")
-    cells, faces = _cells_from_doc(doc)
-    for field in ("start", "accept"):
-        value = doc.get(field, [])
-        if not (isinstance(value, list) and all(isinstance(c, str) for c in value)):
-            raise DocumentError(f"{field} must be a list of cell ids")
-    carrier = PrecubicalSet(cells, faces)
+    carrier = _carrier_from_doc(doc, ("start", "accept"))
     return Hda(carrier, frozenset(doc.get("start", [])), frozenset(doc.get("accept", [])))
 
 
@@ -283,7 +312,9 @@ def span_from_doc(doc: Mapping[str, Any]) -> tuple[Hda, Hda, Hda, dict, dict]:
         ):
             raise DocumentError(f"{field} must map cell ids to cell ids")
         legs.append(dict(raw))
-    return (*(hda_from_doc(doc[field]) for field in ("apex", "left", "right")), *legs)
+    apex, left, right = (hda_from_doc(doc[field]) for field in ("apex", "left", "right"))
+    _check_legs(apex, left, right, *legs)
+    return apex, left, right, *legs
 
 
 # --- top-level dispatch -------------------------------------------------------------
@@ -331,36 +362,71 @@ def _to_doc(value: Any) -> Doc:
     return next(kind.write(value) for kind in _KINDS.values() if isinstance(value, kind.type))
 
 
-def serialize(doc: Doc) -> str:
-    """Render a document exactly as ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``."""
-    return _emit(doc, "") + "\n"
+def serialize(doc: Any) -> str:
+    """Render ``doc`` exactly as ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``.
+
+    The package's own document shapes are written by template; any other
+    value, or a document with a key or value of another shape, goes to
+    json.dumps.
+    """
+    try:
+        return _written(doc) + "\n"
+    except (LookupError, TypeError, DocumentError, RecursionError):
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _emit(value: Any, pad: str) -> str:
-    """``value`` as ``json.dumps(value, indent=2, sort_keys=True)`` writes it ``pad`` deep."""
-    kind = type(value)
-    if kind is str:
-        return _string(value)
-    if kind is int:
-        return int.__repr__(value)
-    if kind is list:
-        if not value:
-            return "[]"
-        inner = pad + "  "
-        items = [_string(x) if type(x) is str else _emit(x, inner) for x in value]
-        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
-    if kind is dict and set(map(type, value)) <= {str}:
-        if not value:
-            return "{}"
-        inner = pad + "  "
-        items = [
-            _string(k) + ": " + (_string(v) if type(v) is str else _emit(v, inner))
-            for k, v in sorted(value.items())
-        ]
-        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
-    # None, bools, floats, and dicts with keys that are not all strings.
-    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + pad)
+# --- writing by template -----------------------------------------------------------
 
+
+def _block(items: Iterable[str], pad: str = "  ", brackets: str = "[]") -> str:
+    """Written ``items`` as json.dumps writes a list, or an object, ``pad`` deep."""
+    text = (",\n  " + pad).join(items)
+    return f"{brackets[0]}\n  {pad}{text}\n{pad}{brackets[1]}" if text else brackets
+
+
+def _typed(value: Any, kind: type = list, member: type | None = None) -> Any:
+    """``value``, if its type is ``kind`` and every member's is ``member``."""
+    _expect(type(value) is kind and (member is None or {*map(type, value)} <= {member}))
+    return value
+
+
+def _written(doc: Any) -> str:
+    """An object of fields the package writes, at the top level, in json.dumps's order."""
+    items = sorted(_typed(doc, dict).items())
+    return _block([f"{_string(key)}: {_FIELDS[key](value)}" for key, value in items], "", "{}")
+
+
+def _pairs(pairs: Any) -> str:
+    # ``%`` refuses a pair that is not two items long.
+    _expect({*map(type, chain(*_typed(pairs, list, list)))} <= {int})
+    return _block(map(_PAIR.__mod__, map(tuple, pairs)))
+
+
+def _ipomsets(docs: Any) -> str:
+    texts = ",\n".join([_written(doc) for doc in _typed(docs)])
+    return _block([texts.replace("\n", "\n    ")])
+
+
+def _leg(leg: Any) -> str:
+    texts = [f"{_string(k)}: {_string(v)}" for k, v in sorted(_typed(leg, dict).items())]
+    return _block(texts, "  ", "{}")
+
+
+_PAIR = _block(["%s", "%s"], "    ")
+# The writer of a field's value, one level deep, by its key.  A key means
+# the same in every document shape, and json.dumps writes each field apart
+# from its siblings, so an object of these keys is written whatever its kind.
+_FIELDS: dict[str, Callable[[Any], str]] = {
+    **dict.fromkeys(("accept", "events", "start"), lambda v: _block(map(_string, _typed(v)))),
+    **dict.fromkeys(("sources", "targets"), lambda v: _block(map(str, _typed(v, list, int)))),
+    **dict.fromkeys(("eventOrder", "precedence"), _pairs),
+    **dict.fromkeys(("generators", "members"), _ipomsets),
+    **dict.fromkeys(("apex", "left", "right"), lambda v: _written(v).replace("\n", "\n  ")),
+    **dict.fromkeys(("leftMap", "rightMap"), _leg),
+    "cells": _cells_text,
+    "eventBound": lambda v: "null" if v is None else str(_typed(v, int)),
+    "type": _string,
+}
 
 # --- DOT rendering -------------------------------------------------------------------
 

@@ -614,18 +614,21 @@ def pushout_hda(
     Both legs must be HDA morphisms.  The result's markings are the images
     of all three components' markings under the colimit cocone.
     """
-    for name, tgt, mapping in (
-        ("left", left, into_left),
-        ("right", right, into_right),
-    ):
-        problems = validate_hda_map(apex, tgt, mapping)
-        if problems:
-            raise PrecubicalInvariant(
-                [f"{name} leg: {p}" for p in problems]
-            )
+    _check_legs(apex, left, right, into_left, into_right)
     return _marked_colimit(
         [apex, left, right], [(0, 1, dict(into_left)), (0, 2, dict(into_right))]
     )
+
+
+def _check_legs(
+    apex: Hda, left: Hda, right: Hda,
+    into_left: Mapping[str, str], into_right: Mapping[str, str],
+) -> None:
+    """Raise :class:`PrecubicalInvariant` unless both legs of the span are HDA morphisms."""
+    for name, tgt, mapping in (("left", left, into_left), ("right", right, into_right)):
+        problems = validate_hda_map(apex, tgt, mapping)
+        if problems:
+            raise PrecubicalInvariant([f"{name} leg: {p}" for p in problems])
 
 
 def tensor_power(x: Hda, n: int) -> Hda:

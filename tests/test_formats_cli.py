@@ -31,6 +31,7 @@ from hdalang import (
     Hda,
     Language,
     PrecubicalSet,
+    expand,
     from_chain,
     from_concurrent,
     glue,
@@ -48,6 +49,7 @@ from hdalang.formats import (
     hda_from_doc,
     hda_to_doc,
     ipomset_from_doc,
+    ipomset_list_to_doc,
     ipomset_to_doc,
     language_from_doc,
     language_to_doc,
@@ -126,20 +128,24 @@ class TestRoundTrips:
         assert serialize(ipomset_to_doc(EMPTY)).endswith("\n")
 
     def test_serialize_is_json_dumps_on_every_document_kind(self):
-        p = validate({"x": "a", "y": "b"}, [("x", "y")], [("x", "y")], ["x"], ["y"])
-        lang = normalize([from_concurrent(["a", "b"]), from_chain(["a", "a", "b"])], 4)
-        docs = [
-            ipomset_to_doc(p),
-            ipomset_to_doc(EMPTY),
-            language_to_doc(lang),
-            language_to_doc(language(grid_automaton(), 4)),
-            precubical_to_doc(grid_automaton().carrier),
-            hda_to_doc(grid_automaton()),
-            hda_to_doc(tensor_power(edge_automaton("\u00e9"), 3)),
-            span_to_doc(*pushout_span()),
-        ]
-        for doc in docs:
-            assert serialize(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        # Each kind's document, and every document that differs from one in
+        # a single place, the last cell and the last generator included.
+        # Pairs that are lists of integers but not pairs, as many as two pairs hold.
+        odd = {**ipomset_to_doc(from_concurrent(["a", "b"])), "eventOrder": [[0, 1, 0], [1]]}
+        for doc in [*every_document_kind(), odd]:
+            for value in (doc, *one_change(doc)):
+                assert rendered(serialize, value) == rendered(reference, value), value
+        # Nested deeper than the writers' own recursion goes, not json.dumps's.
+        deep = {"type": "span"}
+        for _ in range(400):
+            deep = {"apex": deep}
+        assert serialize(deep) == reference(deep)
+
+    def test_every_document_kind_is_written_by_template(self, monkeypatch):
+        docs = every_document_kind()
+        want = [reference(doc) for doc in docs]
+        monkeypatch.setattr(json, "dumps", None)  # a call to it would raise
+        assert [serialize(doc) for doc in docs] == want
 
     def test_serialize_hands_other_values_to_json_dumps(self):
         # Values ``serialize`` does not write itself, nested at several depths.
@@ -150,6 +156,83 @@ class TestRoundTrips:
         ]
         for value in values:
             assert serialize(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+def every_document_kind() -> list[dict]:
+    p = validate({"x": "a", "y": "b"}, [("x", "y")], [("x", "y")], ["x"], ["y"])
+    lang = normalize([from_concurrent(["a", "b"]), from_chain(["a", "a", "b"])], 4)
+    bare = edge_automaton("a", with_start=False, with_accept=False)
+    same = {cell: cell for cell in bare.carrier.cells}
+    return [
+        ipomset_to_doc(p),
+        ipomset_to_doc(EMPTY),
+        language_to_doc(lang),
+        language_to_doc(language(grid_automaton(), 4)),
+        ipomset_list_to_doc(expand(lang, 3)),
+        precubical_to_doc(grid_automaton().carrier),
+        hda_to_doc(grid_automaton()),
+        hda_to_doc(tensor_power(edge_automaton("\u00e9"), 3)),
+        span_to_doc(*pushout_span()),
+        span_to_doc(bare, edge_automaton("a"), edge_automaton("a"), same, same),
+    ]
+
+
+class Table(dict):
+    """A ``dict`` subclass whose items, which json.dumps writes, are not its values."""
+
+    def items(self):
+        return [(key, "?") for key in self]
+
+
+class Text(str):
+    """A ``str`` subclass that sorts backwards; json.dumps writes it as its text."""
+
+    def __lt__(self, other):
+        return str.__gt__(self, other)
+
+
+def one_change(value):
+    """Every value that differs from the JSON ``value`` in one place.
+
+    An object becomes a :class:`Table` or the list of its items, gains a key
+    or an ``int`` key, loses a key, or has one as a :class:`Text`.  A list
+    becomes a tuple, an iterator, an object by index, its text, or the
+    concatenation of its strings.  An integer becomes ``True`` or ``1.5``;
+    ``None`` becomes ``True``; a string becomes a :class:`Text`, a list
+    holding it, or an integer.  Every nested value is changed in turn.
+    """
+    if type(value) is dict:
+        yield from (Table(value), [list(item) for item in value.items()])
+        yield {**value, "extra": 0}
+        yield {**value, 1: "v"}
+        for key in value:
+            yield {k: v for k, v in value.items() if k != key}
+            yield {Text(k) if k == key else k: v for k, v in value.items()}
+            yield from ({**value, key: new} for new in one_change(value[key]))
+    elif type(value) is list:
+        yield from (tuple(value), iter(value), dict(enumerate(value)), str(value))
+        if all(type(item) is str for item in value):
+            yield "".join(value)
+        for i, item in enumerate(value):
+            yield from (value[:i] + [new] + value[i + 1:] for new in one_change(item))
+    elif type(value) is int:
+        yield from (True, 1.5)
+    elif value is None:
+        yield True
+    else:
+        yield from (Text(value), [value], 1)
+
+
+def reference(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+def rendered(write, value):
+    """What ``write(value)`` returns, or the type of the ``TypeError`` it raises."""
+    try:
+        return write(value)
+    except TypeError as exc:
+        return type(exc)
 
 
 class TestDocumentErrors:
@@ -546,6 +629,19 @@ class TestCliFailures:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "eventBound" in captured.err
+
+    def test_span_legs_that_are_not_maps_are_exit_1(self, tmp_path, capsys):
+        empty = {"type": "hda", "cells": [], "start": [], "accept": []}
+        doc = {"type": "span", "apex": empty, "left": empty, "right": empty}
+        for left_map, right_map, leg in (({"p": "q"}, {}, "left"), ({}, {"p": "q"}, "right")):
+            path = write_doc(
+                tmp_path, "span.json", {**doc, "leftMap": left_map, "rightMap": right_map}
+            )
+            for verb in ("validate", "pushout"):
+                assert main([verb, path]) == 1, (verb, leg)
+                record = read_json(capsys)
+                assert record["error"] == "PrecubicalInvariant"
+                assert record["violations"] == [f"{leg} leg: mapping defined on unknown cell 'p'"]
 
     def test_malformed_documents_are_exit_2(self, tmp_path, capsys):
         generator = write_doc(tmp_path, "g.json", '{"type": "language", "generators": [1]}')
