@@ -491,13 +491,20 @@ def subsumes(p: Ipomset, q: Ipomset) -> tuple[int, ...] | None:
     concurrent in ``q``, in index order), and as the least permutation it
     is the witness the search would find.  The search is forward checking
     on bitmasks.
-    Each ``p``-event starts with the ``q``-events of its label and
-    interface role that have no more predecessors and no more successors
-    than it has.  Events are mapped in index order, each to its candidates
-    in ascending order; a choice narrows the candidates of every later
-    event by one mask and backtracks as soon as one has none left.  Only
-    dead branches are cut, so the witness found is the lexicographically
-    least one.
+    Each ``p``-event ``x`` starts with the ``q``-events ``u`` of its label
+    and interface role that have no more predecessors and no more
+    successors than it has, and at least as many concurrent events before
+    and after them by index: ``u - |pred(u)| >= x - |pred(x)|`` and
+    ``u + |succ(u)| <= x + |succ(x)|``.  Every pair of a canonical form
+    increases by index, so ``x - |pred(x)|`` counts exactly the events
+    concurrent with ``x`` below it, and ``x + |succ(x)|`` is ``n - 1``
+    less the events concurrent with ``x`` above it.  ``f`` sends pairs
+    concurrent in ``p`` to pairs concurrent in ``q`` in the same index
+    order, so every witness meets both bounds.  Events are mapped in index
+    order, each to its candidates in ascending order; a choice narrows the
+    candidates of every later event by one mask and backtracks as soon as
+    one has none left.  Only dead branches are cut, so the witness found is
+    the lexicographically least one.
 
     Returns:
         A tuple ``w`` with ``w[x] = f(x)``, or ``None`` when no witness
@@ -521,9 +528,11 @@ def subsumes(p: Ipomset, q: Ipomset) -> tuple[int, ...] | None:
     domains = []
     for x in range(n):
         below, above = p_pred[x].bit_count(), p_succ[x].bit_count()
+        low, high = x - below, x + above
         domain = 0
         for u in _members(q_pools.get(p_keys[x], 0)):
-            if q_pred[u].bit_count() <= below and q_succ[u].bit_count() <= above:
+            under, over = q_pred[u].bit_count(), q_succ[u].bit_count()
+            if under <= below and over <= above and u - under >= low and u + over <= high:
                 domain |= 1 << u
         if not domain:
             return None
@@ -534,21 +543,14 @@ def subsumes(p: Ipomset, q: Ipomset) -> tuple[int, ...] | None:
         """Map ``x`` onward, given the candidates left for ``x..n-1``."""
         if x == n:
             return True
-        after, before = p_succ[x], p_pred[x]
-        relation = [
-            1 if after >> z & 1 else 2 if before >> z & 1 else 0
-            for z in range(x + 1, n)
-        ]
+        after = p_succ[x]
+        relation = [after >> z & 1 for z in range(x + 1, n)]
         for u in _members(rest[0]):
             bit = 1 << u
             # What a later z may map to, by its relation to x: concurrent
             # (0) with u and above it, no q-predecessor of u when x precedes
-            # z (1), no q-successor of u when z precedes x (2); never u.
-            allowed = (
-                -(bit << 1) & ~(q_pred[u] | q_succ[u]),
-                ~(q_pred[u] | bit),
-                ~(q_succ[u] | bit),
-            )
+            # z (1); never u.
+            allowed = (-(bit << 1) & ~(q_pred[u] | q_succ[u]), ~(q_pred[u] | bit))
             later = [d & allowed[r] for d, r in zip(rest[1:], relation)]
             if all(later) and extend(x + 1, later):
                 image[x] = u

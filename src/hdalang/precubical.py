@@ -135,8 +135,11 @@ def elementary_coface(target: Word, nu: int, position: int) -> CofaceMap:
     """The coface that skips exactly one position of ``target``.
 
     ``nu = 0`` marks the skipped event unstarted, ``nu = 1`` finished;
-    this is the coface counterpart of the elementary face ``(nu, position)``.
+    this is the coface counterpart of the elementary face ``(nu, position)``,
+    and refuses the same directions and positions.
     """
+    if nu not in (0, 1):
+        raise PositionOutOfRange(f"direction {nu!r} outside {{0, 1}}")
     n = len(target)
     if not 1 <= position <= n:
         raise PositionOutOfRange(f"position {position} outside 1..{n}")

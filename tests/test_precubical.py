@@ -136,6 +136,13 @@ class TestCofaceMap:
             with pytest.raises(PositionOutOfRange):
                 elementary_coface(("a", "b"), 0, position)
 
+    @pytest.mark.parametrize("nu", [-1, 2, 7])
+    def test_elementary_direction_must_be_zero_or_one(self, nu):
+        # The same refusal, and the same text, as ``PrecubicalSet.face``.
+        text = rf"^direction {nu} outside \{{0, 1\}}$"
+        with pytest.raises(PositionOutOfRange, match=text):
+            elementary_coface(("a", "b"), nu, 1)
+
     def test_image_must_increase(self):
         with pytest.raises(ShapeMismatch):
             CofaceMap(
