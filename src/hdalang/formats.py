@@ -26,10 +26,10 @@ a ``"type"`` field:
 Serialisation is deterministic: keys sorted, lists in canonical order,
 two-space indentation and a trailing newline, so identical values produce
 byte-identical files: :func:`serialize` equals ``json.dumps(doc, indent=2,
-sort_keys=True) + "\n"`` byte for byte.  It writes the six shapes above
-by template: each field by the writer of its key, and each cell by one
-template per dimension.  Every other value, and any document that strays
-from these shapes in a key, a type or a container, goes to json.dumps.
+sort_keys=True) + "\n"`` byte for byte.  One writer handles str, int,
+null, list and object values, and writes a ``cells`` field by one template
+per cell dimension; a document holding a value of any other type goes to
+json.dumps.
 Parsing checks document structure and raises :class:`DocumentError`,
 formatting its message only on failure; the domain invariants of the
 parsed value are then checked by the package's constructors, whose errors
@@ -135,10 +135,7 @@ def language_to_doc(lang: Language) -> Doc:
     return {
         "type": "language",
         "eventBound": lang.event_bound,
-        "generators": [
-            ipomset_to_doc(g)
-            for g in sorted(lang.generators, key=_ipomset_sort_key)
-        ],
+        "generators": _ipomset_docs(lang.generators),
     }
 
 
@@ -156,16 +153,15 @@ def language_from_doc(doc: Mapping[str, Any]) -> Language:
 
 
 def ipomset_list_to_doc(members: Iterable[Ipomset]) -> Doc:
-    return {
-        "type": "ipomsets",
-        "members": [
-            ipomset_to_doc(p) for p in sorted(members, key=_ipomset_sort_key)
-        ],
-    }
+    return {"type": "ipomsets", "members": _ipomset_docs(members)}
 
 
-def _ipomset_sort_key(p: Ipomset) -> tuple:
-    return (p.size, p.labels, sorted(p.precedence), sorted(p.sources), sorted(p.targets))
+def _ipomset_docs(members: Iterable[Ipomset]) -> list[Doc]:
+    """The ipomset documents of ``members``, sorted by size, events, precedence and interfaces."""
+    return sorted(
+        map(ipomset_to_doc, members),
+        key=lambda d: (len(d["events"]), d["events"], d["precedence"], d["sources"], d["targets"]),
+    )
 
 
 # --- precubical sets and automata ---------------------------------------------------
@@ -197,8 +193,9 @@ def _cells_to_doc(carrier: PrecubicalSet) -> list[Doc]:
 
 def _cells_text(cells: Any) -> str:
     """A list of cell documents, written as a field of a top-level object."""
+    _expect(type(cells) is list and {*map(type, cells)} <= {dict})
     texts, tables = [], []
-    for cell in _typed(cells, list, dict):
+    for cell in cells:
         faces, word = cell["faces"], cell["word"]
         _, keys, form = _cell_form(len(word))
         _expect(len(cell) == 3 and type(faces) is dict and type(word) is list
@@ -346,7 +343,7 @@ def parse_document(text: str) -> Any:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed, or an integer too long to convert
         raise DocumentError(f"not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise DocumentError("not valid JSON: nested too deeply") from exc
@@ -365,12 +362,12 @@ def _to_doc(value: Any) -> Doc:
 def serialize(doc: Any) -> str:
     """Render ``doc`` exactly as ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``.
 
-    The package's own document shapes are written by template; any other
-    value, or a document with a key or value of another shape, goes to
-    json.dumps.
+    One writer handles str, int, null, list and object values, and writes
+    ``cells`` fields by template; a document holding a value of any other
+    type, an object key that is not a string included, goes to json.dumps.
     """
     try:
-        return _written(doc) + "\n"
+        return _emit(doc, "") + "\n"
     except (LookupError, TypeError, DocumentError, RecursionError):
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
@@ -384,49 +381,32 @@ def _block(items: Iterable[str], pad: str = "  ", brackets: str = "[]") -> str:
     return f"{brackets[0]}\n  {pad}{text}\n{pad}{brackets[1]}" if text else brackets
 
 
-def _typed(value: Any, kind: type = list, member: type | None = None) -> Any:
-    """``value``, if its type is ``kind`` and every member's is ``member``."""
-    _expect(type(value) is kind and (member is None or {*map(type, value)} <= {member}))
-    return value
+def _emit(value: Any, pad: str) -> str:
+    """``value`` as ``json.dumps(value, indent=2, sort_keys=True)`` writes it ``pad`` deep.
 
+    Strings are written inline, a ``cells`` field by :func:`_cells_text`, and
+    a value of any other type raises.
+    """
+    kind = type(value)
+    if kind is str:
+        return _string(value)
+    if kind is int:
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    inner = pad + "  "
+    if kind is list:
+        return _block([_string(x) if type(x) is str else _emit(x, inner) for x in value], pad)
+    _expect(kind is dict and {*map(type, value)} <= {str})
+    items = []
+    for key, item in sorted(value.items()):
+        if key == "cells":
+            text = _cells_text(item).replace("\n", "\n" + pad)
+        else:
+            text = _string(item) if type(item) is str else _emit(item, inner)
+        items.append(f"{_string(key)}: {text}")
+    return _block(items, pad, "{}")
 
-def _written(doc: Any) -> str:
-    """An object of fields the package writes, at the top level, in json.dumps's order."""
-    items = sorted(_typed(doc, dict).items())
-    return _block([f"{_string(key)}: {_FIELDS[key](value)}" for key, value in items], "", "{}")
-
-
-def _pairs(pairs: Any) -> str:
-    # ``%`` refuses a pair that is not two items long.
-    _expect({*map(type, chain(*_typed(pairs, list, list)))} <= {int})
-    return _block(map(_PAIR.__mod__, map(tuple, pairs)))
-
-
-def _ipomsets(docs: Any) -> str:
-    texts = ",\n".join([_written(doc) for doc in _typed(docs)])
-    return _block([texts.replace("\n", "\n    ")])
-
-
-def _leg(leg: Any) -> str:
-    texts = [f"{_string(k)}: {_string(v)}" for k, v in sorted(_typed(leg, dict).items())]
-    return _block(texts, "  ", "{}")
-
-
-_PAIR = _block(["%s", "%s"], "    ")
-# The writer of a field's value, one level deep, by its key.  A key means
-# the same in every document shape, and json.dumps writes each field apart
-# from its siblings, so an object of these keys is written whatever its kind.
-_FIELDS: dict[str, Callable[[Any], str]] = {
-    **dict.fromkeys(("accept", "events", "start"), lambda v: _block(map(_string, _typed(v)))),
-    **dict.fromkeys(("sources", "targets"), lambda v: _block(map(str, _typed(v, list, int)))),
-    **dict.fromkeys(("eventOrder", "precedence"), _pairs),
-    **dict.fromkeys(("generators", "members"), _ipomsets),
-    **dict.fromkeys(("apex", "left", "right"), lambda v: _written(v).replace("\n", "\n  ")),
-    **dict.fromkeys(("leftMap", "rightMap"), _leg),
-    "cells": _cells_text,
-    "eventBound": lambda v: "null" if v is None else str(_typed(v, int)),
-    "type": _string,
-}
 
 # --- DOT rendering -------------------------------------------------------------------
 

@@ -63,8 +63,8 @@ class Language:
         event_bound: when set, the language is only known to be complete
             for ipomsets with at most this many events (languages read off
             automata are computed under such a budget).  ``None`` means
-            the generators describe the language at every size.  A
-            negative bound is refused with ``ValueError``.
+            the generators describe the language at every size.  A bound
+            that is not a non-negative ``int`` is refused with ``ValueError``.
     """
 
     generators: frozenset[Ipomset]
@@ -91,7 +91,7 @@ def normalize(ipomsets: Iterable[Ipomset], event_bound: int | None = None) -> La
     then keeps the maximal members.
 
     Raises:
-        ValueError: ``event_bound`` is negative.
+        ValueError: ``event_bound`` is neither None nor a non-negative ``int``.
     """
     flat: set[Ipomset] = set()
     for p in set(ipomsets):
@@ -117,8 +117,8 @@ def _maxima(members: Iterable[Ipomset], event_bound: int | None) -> Language:
     on hashing; how many calls a dominated member takes before one hits
     does, as members with equal pair counts come in set order.
     """
-    if event_bound is not None and event_bound < 0:
-        raise ValueError("the event bound must be non-negative")
+    if event_bound is not None:
+        _check_bound(event_bound)
     rivals: dict[tuple[int, int, tuple[str, ...]], list[Ipomset]] = {}
     for pairs, p in sorted([(len(m.precedence), m) for m in members], key=itemgetter(0)):
         key = (len(p.sources), len(p.targets), tuple(sorted(p.labels)))
@@ -130,6 +130,12 @@ def _maxima(members: Iterable[Ipomset], event_bound: int | None) -> Language:
         ):
             same_key.append(p)
     return _unchecked(Language, frozenset().union(*rivals.values()), event_bound)
+
+
+def _check_bound(bound: int) -> None:
+    # The document reader takes the same bounds, so every language round-trips.
+    if isinstance(bound, bool) or not isinstance(bound, int) or bound < 0:
+        raise ValueError("the event bound must be a non-negative integer")
 
 
 def contains(lang: Language, p: Ipomset) -> bool:
@@ -236,10 +242,9 @@ def restrict(lang: Language, max_events: int) -> Language:
     that is smaller.
 
     Raises:
-        ValueError: ``max_events`` is negative.
+        ValueError: ``max_events`` is not a non-negative ``int``.
     """
-    if max_events < 0:
-        raise ValueError("the event bound must be non-negative")
+    _check_bound(max_events)
     if lang.event_bound is not None:
         max_events = min(lang.event_bound, max_events)
     return _unchecked(

@@ -30,6 +30,7 @@ from hdalang import (
     EMPTY,
     Hda,
     Language,
+    PrecubicalInvariant,
     PrecubicalSet,
     expand,
     from_chain,
@@ -146,6 +147,23 @@ class TestRoundTrips:
         want = [reference(doc) for doc in docs]
         monkeypatch.setattr(json, "dumps", None)  # a call to it would raise
         assert [serialize(doc) for doc in docs] == want
+
+    def test_records_and_renamed_fields_are_written_by_template(self, monkeypatch):
+        # The CLI's records, and an ipomset document whose keys it never uses.
+        p = validate({"x": "a", "y": "b", "z": "a"}, [("x", "y")], [("x", "z"), ("z", "y")], ["z"], ["y"])
+        broken = {"type": "precubical", "cells": [{"id": "e", "word": ["a"], "faces": {}}]}
+        records = [cli._interval(None, p)]
+        with pytest.raises(cli._DomainFailure) as failed:
+            cli._interval(None, two_plus_two_ipomset())
+        records.append(failed.value.record)
+        with pytest.raises(PrecubicalInvariant) as invalid:
+            precubical_from_doc(broken)
+        records.append(cli._domain_record(invalid.value))
+        records.append({key.upper(): value for key, value in ipomset_to_doc(p).items()})
+        assert [set(r) for r in records[1:3]] == [{"error", "witness"}, {"error", "detail", "violations"}]
+        want = [reference(record) for record in records]
+        monkeypatch.setattr(json, "dumps", None)  # a call to it would raise
+        assert [serialize(record) for record in records] == want
 
     def test_serialize_hands_other_values_to_json_dumps(self):
         # Values ``serialize`` does not write itself, nested at several depths.
@@ -545,6 +563,14 @@ class TestCliFailures:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"{x}: expected an ipomset document" in captured.err
+
+    def test_oversized_integer_is_exit_2(self, tmp_path, capsys):
+        # Longer than the integer-to-text conversion limit json.loads enforces.
+        path = write_doc(tmp_path, "big.json", '{"type": "ipomset", "events": %s}' % ("9" * 5000))
+        assert main(["validate", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error" in captured.err
 
     def test_domain_error_is_exit_1_with_record(self, tmp_path, capsys):
         doc = {

@@ -5,7 +5,9 @@ Core claims exercised here:
 * ``Language`` holds an antichain of interval generators and rejects
   non-interval input and comparable generators; ``Language``,
   ``normalize``, ``restrict`` and ``expand`` refuse a negative event
-  bound, and ``restrict`` never widens the bound it is given.
+  bound, and the first three any other bound the document reader
+  refuses, so every language round-trips through its document;
+  ``restrict`` never widens the bound it is given.
 * ``normalize`` drops subsumed members, keeping the maxima a brute-force
   scan finds whatever the input order, with one ``subsumes`` call per
   member against each generator kept so far with its bag of labels and
@@ -72,6 +74,7 @@ from hdalang import (
     tensor_power,
     union,
 )
+from hdalang.formats import language_from_doc, language_to_doc
 from hdalang.hda import _expanded
 from hdalang.ipomset import Ipomset
 from hdalang.language import _refinement_orders
@@ -137,6 +140,22 @@ class TestLanguageConstruction:
     def test_language_refuses_a_negative_event_bound(self):
         with pytest.raises(ValueError, match="non-negative"):
             Language(frozenset({point("a")}), -1)
+
+    def test_only_bounds_the_document_reader_takes_are_accepted(self):
+        gens = frozenset({from_concurrent(["a", "b"]), point("c")})
+        lang = normalize(gens)
+        for bound in (2.5, 1.0, True, False, "2", -1):
+            with pytest.raises(ValueError, match="non-negative"):
+                Language(gens, bound)
+            with pytest.raises(ValueError, match="non-negative"):
+                normalize(gens, bound)
+            with pytest.raises(ValueError, match="non-negative"):
+                restrict(lang, bound)
+        for bound in (None, 0, 1, 2, 7):
+            built = [Language(gens, bound), normalize(gens, bound)]
+            built += [] if bound is None else [restrict(lang, bound)]
+            for value in built:
+                assert language_from_doc(language_to_doc(value)) == value, (bound, value)
 
     def test_normalize_prunes_subsumed_members(self):
         chain = from_chain(["a", "b"])
