@@ -167,7 +167,7 @@ def _ipomset_docs(members: Iterable[Ipomset]) -> list[Doc]:
 # --- precubical sets and automata ---------------------------------------------------
 
 
-@functools.cache
+@functools.lru_cache(maxsize=1 << 6)  # bounded, as dimensions are caller data
 def _cell_form(dim: int) -> tuple[tuple[tuple[str, int, int], ...], tuple[str, ...], str]:
     """A ``dim``-cell's face keys with nu and position, the keys sorted, and its template.
 
@@ -197,9 +197,9 @@ def _cells_text(cells: Any) -> str:
     texts, tables = [], []
     for cell in cells:
         faces, word = cell["faces"], cell["word"]
-        _, keys, form = _cell_form(len(word))
         _expect(len(cell) == 3 and type(faces) is dict and type(word) is list
-                and len(faces) == len(keys))
+                and len(faces) == 2 * len(word))
+        _, keys, form = _cell_form(len(word))
         targets = map(faces.__getitem__, keys)
         texts.append(form % (*map(_string, targets), _string(cell["id"]), *map(_string, word)))
         tables.append(faces)

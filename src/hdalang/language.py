@@ -20,9 +20,9 @@ operations hand interval results straight to the maxima pass
 runs :func:`is_interval`.
 
 Refinements come from one search over closed orders that branches on one
-obstruction at a time (:func:`_refinement_orders`): it stops at the first
-valid order on each branch for the maximal members
-(:func:`_maximal_candidates`) and goes on for :func:`extensions`.
+obstruction at a time (:func:`_refinement_orders`): it returns exactly the
+minimal orders for the maximal members (:func:`_maximal_candidates`) and
+every order for :func:`extensions`.
 """
 
 from __future__ import annotations
@@ -85,10 +85,10 @@ def normalize(ipomsets: Iterable[Ipomset], event_bound: int | None = None) -> La
 
     It serves input that no operation built, so each member is tested with
     :func:`is_interval`.  A non-interval one is replaced by the members of
-    its ideal from inclusion-minimal refinement orders
-    (:func:`_maximal_candidates`), which include every maximal interval
-    element, so the denoted down-closure is unchanged; :func:`_maxima`
-    then keeps the maximal members.
+    its ideal from the inclusion-minimal refinement orders, which the
+    search returns exactly (:func:`_maximal_candidates`); they include
+    every maximal interval element, so the denoted down-closure is
+    unchanged, and :func:`_maxima` then keeps the maximal members.
 
     Raises:
         ValueError: ``event_bound`` is neither None nor a non-negative ``int``.
@@ -279,7 +279,7 @@ _Order = tuple[tuple[int, ...], tuple[int, ...]]
 
 
 def _refinement_orders(q: Ipomset, every: bool) -> list[_Order]:
-    """Refinement orders of ``q``: every one, or a superset of the minimal.
+    """Refinement orders of ``q``: every one, or exactly the minimal ones.
 
     A refinement order is a strict order ``R`` on ``q``'s events that
     contains ``q``'s precedence, keeps the sources minimal and the targets
@@ -305,14 +305,13 @@ def _refinement_orders(q: Ipomset, every: bool) -> list[_Order]:
       has no 3-cycle, and a 3-cycle holds one pair of the order (two
       would close to a third).
 
-    A refinement order is returned, and ends its branch unless ``every``
-    is set.  With ``every`` it also branches on each cover pair
-    ``(u, v)``: ``u`` and ``v`` concurrent, ``pred[u]`` inside
-    ``pred[v]`` and ``succ[v]`` inside ``succ[u]``.  Every pair added is
-    concurrent in the node.  Adding ``(u, v)`` puts every event at or
-    below ``u`` before every event at or above ``v``, which keeps the node
-    a closed order (a cycle would need ``v`` at or below ``u``); for a
-    cover pair it adds ``(u, v)`` alone.
+    A refinement order is a leaf unless ``every`` is set, and then it is
+    returned and also branches on each cover pair ``(u, v)``: ``u`` and
+    ``v`` concurrent, ``pred[u]`` inside ``pred[v]`` and ``succ[v]``
+    inside ``succ[u]``.  Every pair added is concurrent in the node.  Adding
+    ``(u, v)`` puts every event at or below ``u`` before every event at or
+    above ``v``, which keeps the node a closed order (a cycle would need
+    ``v`` at or below ``u``); for a cover pair it adds ``(u, v)`` alone.
 
     Each node carries a set of banned pairs, and a child that would hold
     one is dropped.  The root bans every pair that gives a source a
@@ -339,8 +338,11 @@ def _refinement_orders(q: Ipomset, every: bool) -> list[_Order]:
     ``N``-successors likewise: ``R`` holds each pair on the way, and the
     descent ends at a cover pair of ``N``, so the first cover pair that
     ``R`` holds serves as before.  So with ``every`` each twin-respecting
-    refinement order is returned once, and without it each one that is
-    minimal among those.
+    refinement order is returned once.  Without it a leaf that includes
+    one already returned is skipped, and a minimal ``M`` is returned before
+    any ``L`` above it: at the deepest node on both paths, ``L`` holds the
+    first branch pair and ``M`` does not, as the later sibling bans it and
+    ``L`` holds ``M``, and the stack pops that sibling's whole subtree first.
     """
     n = q.size
     q_pred, q_succ, keys, _, _ = _masks(q)
@@ -354,14 +356,19 @@ def _refinement_orders(q: Ipomset, every: bool) -> list[_Order]:
         ban = (1 << n) - 1 if y in q.sources else targets | later
         banned |= ban << y * n
     out: list[_Order] = []
+    returned: list[int] = []
     stack = [(q_pred, q_succ, banned)]
     while stack:
         pred, succ, banned = stack.pop()
         pairs = _forced_pairs(pred, succ)
         if pairs is None:
-            out.append((pred, succ))
             if not every:
+                relation = sum(mask << y * n for y, mask in enumerate(pred))  # as ``banned``
+                if all(low & ~relation for low in returned):
+                    returned.append(relation)
+                    out.append((pred, succ))
                 continue
+            out.append((pred, succ))
             pairs = [
                 (u, v)
                 for u in range(n)
@@ -428,28 +435,12 @@ def _refinement(q: Ipomset, order: _Order) -> Ipomset:
 def _maximal_candidates(q: Ipomset) -> set[Ipomset]:
     """The members of ``q``'s ideal from minimal twin-respecting orders.
 
-    If one refinement order ``R'`` (see :func:`_refinement_orders`) is
-    strictly included in another ``R``, the identity on ``q``'s events
-    shows that ``R``'s member strictly refines ``R'``'s.  A maximal member
-    comes from a twin-respecting order, which is therefore minimal among
-    those.  The search without cover pairs returns each such order, and
-    perhaps others above one; they are tested in order of size against
-    the minimal ones kept so far, each encoded as one mask of ``n * n``
-    bits.
+    A refinement order (see :func:`_refinement_orders`) strictly above
+    another gives a strictly refined member, by the identity on ``q``'s
+    events, so a maximal member comes from a minimal twin-respecting
+    order; the search without cover pairs returns exactly those.
     """
-    n = q.size
-    leaves: list[tuple[int, _Order]] = []
-    for order in _refinement_orders(q, every=False):
-        relation = sum(mask << x * n for x, mask in enumerate(order[0]))
-        leaves.append((relation, order))
-    leaves.sort(key=lambda item: item[0].bit_count())
-    minimal: list[int] = []
-    out: set[Ipomset] = set()
-    for relation, order in leaves:
-        if all(smaller & ~relation for smaller in minimal):
-            minimal.append(relation)
-            out.add(_refinement(q, order))
-    return out
+    return {_refinement(q, order) for order in _refinement_orders(q, every=False)}
 
 
 def extensions(q: Ipomset) -> frozenset[Ipomset]:

@@ -325,8 +325,9 @@ class PrecubicalSet:
     faces: dict[FaceKey, str]
 
     def __post_init__(self) -> None:
-        # A word that is not iterable stays as it is, to be reported.
-        cells = {cid: tuple(w) if hasattr(w, "__iter__") else w for cid, w in self.cells.items()}
+        # A word that is not a sequence stays, to be reported (tuples skip the slow ABC check).
+        cells = {cid: tuple(w) if isinstance(w, (tuple, Sequence)) else w
+                 for cid, w in self.cells.items()}
         object.__setattr__(self, "cells", cells)
         object.__setattr__(self, "faces", dict(self.faces))
         problems = validate_precubical(self.cells, self.faces)

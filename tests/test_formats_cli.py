@@ -47,6 +47,7 @@ from hdalang import cli
 from hdalang.cli import main
 from hdalang.formats import (
     DocumentError,
+    _cell_form,
     hda_from_doc,
     hda_to_doc,
     ipomset_from_doc,
@@ -174,6 +175,18 @@ class TestRoundTrips:
         ]
         for value in values:
             assert serialize(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+    def test_malformed_cells_build_no_template(self):
+        # A string word, and a list word with no faces: both go to
+        # json.dumps, and no template of their length is cached.
+        docs = [
+            {"type": "precubical", "cells": [{"id": "e", "word": "a" * 3000, "faces": {}}]},
+            {"type": "precubical", "cells": [{"id": "e", "word": ["a"] * 2000, "faces": {}}]},
+        ]
+        before = _cell_form.cache_info().currsize
+        for doc in docs:
+            assert serialize(doc) == reference(doc)
+        assert _cell_form.cache_info().currsize == before
 
 
 def every_document_kind() -> list[dict]:

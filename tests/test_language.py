@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import random
 import sys
+from functools import reduce
 from itertools import combinations
 
 import pytest
@@ -623,10 +624,9 @@ class TestRefinementOrders:
             r for r in relations if not any(s != r and not s & ~r for s in relations)
         }
 
-    def test_minimal_leaves_are_the_minimal_orders_of_the_full_search(self):
-        # Twin runs with interfaces, chain products (never interval), then
-        # random members; full searches above 400 orders are skipped to
-        # keep the quadratic minimality scan short.
+    @staticmethod
+    def seeded_inputs() -> list[Ipomset]:
+        """Twin runs with interfaces, chain products (never interval), then random members."""
         inputs = [
             from_concurrent("aaaab", sources={0, 1}),
             from_concurrent("abaaa", sources={2}, targets={3, 4}),
@@ -640,8 +640,13 @@ class TestRefinementOrders:
             q = random_ipomset(rnd, 6)
             if q.size >= 4:
                 inputs.append(q)
+        return inputs
+
+    def test_minimal_leaves_are_the_minimal_orders_of_the_full_search(self):
+        # Full searches above 400 orders are skipped to keep the quadratic
+        # minimality scan short.
         checked = non_interval = 0
-        for q in inputs:
+        for q in self.seeded_inputs():
             every = self.relations(q, every=True)
             if len(every) > 400:
                 continue
@@ -649,9 +654,21 @@ class TestRefinementOrders:
             non_interval += not oracle_is_interval(q)
             assert len(set(every)) == len(every), q
             leaves = self.relations(q, every=False)
-            assert set(leaves) <= set(every), q
-            assert self.minimal(leaves) == self.minimal(every), q
+            assert set(leaves) == self.minimal(every), q
         assert checked > 250 and non_interval > 50
+
+    def test_minimal_search_returns_pairwise_incomparable_orders(self):
+        # Chain products with many more refinement orders than minimal
+        # ones, then the seeded inputs with no size cap.
+        products = {("ab", "ab", "ab", "ab"): 24, ("aaa", "bbb", "ab"): 26}
+        for words, count in products.items():
+            leaves = self.relations(reduce(parallel, map(from_chain, words)), every=False)
+            assert len(leaves) == count, words
+            assert self.minimal(leaves) == set(leaves), words
+        for q in self.seeded_inputs():
+            leaves = self.relations(q, every=False)
+            assert len(set(leaves)) == len(leaves), q
+            assert self.minimal(leaves) == set(leaves), q
 
     def test_full_search_count_on_six_twins(self):
         # One order per member: without the twin bans every permutation

@@ -356,13 +356,22 @@ class TestValidatePrecubical:
         [
             ({"e": 5}, {}, "cell 'e' has a word that is not a sequence: 5"),
             ({"e": None}, {}, "cell 'e' has a word that is not a sequence: None"),
+            ({"e": {"a"}}, {}, "cell 'e' has a word that is not a sequence: {'a'}"),
+            (
+                {"e": frozenset("a")},
+                {},
+                "cell 'e' has a word that is not a sequence: frozenset({'a'})",
+            ),
+            ({"e": {"a": "b"}}, {}, "cell 'e' has a word that is not a sequence: {'a': 'b'}"),
             (
                 {"v": (), "e": ("a",)},
                 {("e", 0, 1): ["v"], ("e", 1, 1): "v"},
                 "face ('e', 0, 1) points at unknown cell ['v']",
             ),
         ],
-        ids=["int-word", "none-word", "unhashable-target"],
+        ids=[
+            "int-word", "none-word", "set-word", "frozenset-word", "dict-word", "unhashable-target"
+        ],
     )
     def test_unusable_word_or_target_is_a_violation(self, cells, faces, problem):
         assert validate_precubical(cells, faces) == [problem]
