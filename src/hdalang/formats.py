@@ -47,7 +47,7 @@ from typing import Any, Callable, Iterable, Mapping, NamedTuple
 from hdalang.hda import Hda, _check_legs
 from hdalang.ipomset import Ipomset, _unchecked, validate
 from hdalang.language import Language, normalize
-from hdalang.precubical import PrecubicalInvariant, PrecubicalSet, validate_precubical
+from hdalang.precubical import PrecubicalInvariant, PrecubicalSet, _slots, _walk
 
 Doc = dict[str, Any]
 
@@ -68,6 +68,15 @@ def _expect(condition: bool, message: str = "not a shape the package writes") ->
 
 def _is_int(x: Any) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _strings(values: Iterable[Any]) -> bool:
+    """Whether every value is a string: ``str.join`` refuses any other."""
+    try:
+        "".join(values)
+    except TypeError:
+        return False
+    return True
 
 
 def _int_pairs(value: Any, what: str) -> list[tuple[int, int]]:
@@ -168,25 +177,30 @@ def _ipomset_docs(members: Iterable[Ipomset]) -> list[Doc]:
 
 
 @functools.lru_cache(maxsize=1 << 6)  # bounded, as dimensions are caller data
-def _cell_form(dim: int) -> tuple[tuple[tuple[str, int, int], ...], tuple[str, ...], str]:
-    """A ``dim``-cell's face keys with nu and position, the keys sorted, and its template.
+def _key_slots(dim: int) -> dict[str, int]:
+    """The slot of each face key ``"<nu>,<position>"`` of a ``dim``-cell, lower faces first."""
+    return {f"{nu},{pos}": slot for (nu, pos), slot in _slots(dim).items()}
+
+
+@functools.lru_cache(maxsize=1 << 6)
+def _cell_form(dim: int) -> tuple[tuple[str, ...], str]:
+    """A ``dim``-cell's face keys, sorted, and its template.
 
     The template writes the cell two levels deep from the face targets in
     sorted key order, the id and the letters, each already written.
     """
-    faces = tuple((f"{nu},{pos}", nu, pos) for nu in (0, 1) for pos in range(1, dim + 1))
-    keys = tuple(sorted(key for key, _, _ in faces))
+    keys = tuple(sorted(_key_slots(dim)))
     table = _block([f'"{key}": %s' for key in keys], "      ", "{}")
     form = ['"faces": ' + table, '"id": %s', '"word": ' + _block(["%s"] * dim, "      ")]
-    return faces, keys, _block(form, "    ", "{}")
+    return keys, _block(form, "    ", "{}")
 
 
 def _cells_to_doc(carrier: PrecubicalSet) -> list[Doc]:
-    cells, faces = carrier.cells, carrier.faces
+    cells, rows = carrier.cells, carrier.rows
     out = []
     for cid in carrier.sorted_cells():
-        word = cells[cid]
-        table = {key: faces[(cid, nu, pos)] for key, nu, pos in _cell_form(len(word))[0]}
+        word, row = cells[cid], rows[cid]
+        table = {key: row[slot] for key, slot in _key_slots(len(word)).items()}
         out.append({"id": cid, "word": list(word), "faces": table})
     return out
 
@@ -199,7 +213,7 @@ def _cells_text(cells: Any) -> str:
         faces, word = cell["faces"], cell["word"]
         _expect(len(cell) == 3 and type(faces) is dict and type(word) is list
                 and len(faces) == 2 * len(word))
-        _, keys, form = _cell_form(len(word))
+        keys, form = _cell_form(len(word))
         targets = map(faces.__getitem__, keys)
         texts.append(form % (*map(_string, targets), _string(cell["id"]), *map(_string, word)))
         tables.append(faces)
@@ -208,11 +222,14 @@ def _cells_text(cells: Any) -> str:
 
 
 def _carrier_from_doc(doc: Mapping[str, Any], marks: tuple[str, ...] = ()) -> PrecubicalSet:
-    """The carrier of a cell document whose ``marks`` are lists of ids, checked once."""
+    """The carrier of a cell document whose ``marks`` are lists of ids, checked once.
+
+    The walk files each face key straight into its slot by :func:`_key_slots`.
+    """
     raw = doc.get("cells")
     _expect(isinstance(raw, list), "cells must be a list")
     cells: dict[str, tuple[str, ...]] = {}
-    faces: dict[tuple[str, int, int], str] = {}
+    runs = []
     for entry in raw:
         if not isinstance(entry, dict):
             raise DocumentError("each cell must be an object")
@@ -222,38 +239,37 @@ def _carrier_from_doc(doc: Mapping[str, Any], marks: tuple[str, ...] = ()) -> Pr
         if cid in cells:
             raise DocumentError(f"duplicate cell id {cid!r}")
         word = entry.get("word", [])
-        if not (isinstance(word, list) and all(isinstance(w, str) for w in word)):
+        if not (isinstance(word, list) and _strings(word)):
             raise DocumentError(f"cell {cid!r} word must be a list of strings")
         cells[cid] = tuple(word)
         table = entry.get("faces", {})
         if not isinstance(table, dict):
             raise DocumentError(f"cell {cid!r} faces must be an object")
-        for key, tgt in table.items():
-            at = _face_at(str(key))
-            if at is None:
-                shape = "must look like '<nu>,<position>'"
-                raise DocumentError(f"cell {cid!r} face key {key!r} {shape}")
-            if not isinstance(tgt, str):
-                raise DocumentError(f"cell {cid!r} face {key!r} must name a cell")
-            faces[(cid, *at)] = tgt
+        faces, slots = table.items(), _key_slots(len(word))
+        if not (slots.keys() >= table.keys() and _strings(table.values())):
+            faces = [(_face_key(cid, key, tgt, slots), tgt) for key, tgt in faces]
+        runs.append((cid, faces))
     for field in marks:
         value = doc.get(field, [])
         if not (isinstance(value, list) and all(isinstance(c, str) for c in value)):
             raise DocumentError(f"{field} must be a list of cell ids")
-    problems = validate_precubical(cells, faces)
+    problems: list[str] = []
+    rows = _walk(cells, runs, _key_slots, problems)
     if problems:
         raise PrecubicalInvariant(problems)
-    return _unchecked(PrecubicalSet, cells, faces)
+    return _unchecked(PrecubicalSet, cells, rows)
 
 
-@functools.lru_cache(maxsize=1024)
-def _face_at(key: str) -> tuple[int, int] | None:
-    """``(nu, position)`` of a ``"<nu>,<position>"`` face key, or None if malformed."""
+def _face_key(cid: str, key: Any, tgt: Any, slots: Mapping[str, int]) -> Any:
+    """``key`` if it has a slot, else its ``(nu, position)``; a bad key or target is refused."""
     # Positions are ASCII digits without a leading zero; "0,1,2" and "1" fail isdigit.
-    nu, _, pos = key.partition(",")
-    if nu in ("0", "1") and pos.isascii() and pos.isdigit() and (pos[0] != "0" or pos == "0"):
-        return int(nu), int(pos)
-    return None
+    nu, _, pos = str(key).partition(",")
+    digits = pos.isascii() and pos.isdigit() and (pos[0] != "0" or pos == "0")
+    if not (nu in ("0", "1") and digits):
+        raise DocumentError(f"cell {cid!r} face key {key!r} must look like '<nu>,<position>'")
+    if not isinstance(tgt, str):
+        raise DocumentError(f"cell {cid!r} face {key!r} must name a cell")
+    return key if key in slots else (int(nu), int(pos))
 
 
 def precubical_to_doc(carrier: PrecubicalSet) -> Doc:
@@ -426,7 +442,7 @@ def to_dot(automaton: Hda) -> str:
     dimension three or more cannot be drawn and are listed in comments.
     """
     carrier = automaton.carrier
-    cells, faces = carrier.cells, carrier.faces
+    cells, rows = carrier.cells, carrier.rows
     ids = {cid: _quoted(cid) for cid in cells}
     by_dim: dict[int, list[str]] = {}
     for cid in sorted(cells):
@@ -442,10 +458,11 @@ def to_dot(automaton: Hda) -> str:
     for k, vid in enumerate(v for v in by_dim.get(0, ()) if v in automaton.start):
         lines.append(f'  "{marker}{k}" [shape=point, style=invis];')
         lines.append(f'  "{marker}{k}" -> {ids[vid]};')
+    edge, square = _slots(1), _slots(2)
     for eid in by_dim.get(1, ()):
         label = cells[eid][0]
         mark = " (accept)" if eid in automaton.accept else ""
-        tail, head = ids[faces[(eid, 0, 1)]], ids[faces[(eid, 1, 1)]]
+        tail, head = ids[rows[eid][edge[0, 1]]], ids[rows[eid][edge[1, 1]]]
         lines.append(f"  {tail} -> {head} [label={_quoted(label + mark)}];")
     for sid in by_dim.get(2, ()):
         word = ",".join(cells[sid])
@@ -453,9 +470,9 @@ def to_dot(automaton: Hda) -> str:
             f"  {ids[sid]} [shape=box, style=filled, fillcolor=lightgray, "
             f"label={_quoted(f'{sid}: [{word}]')}];"
         )
-        # Corner (a, b) is the a-face at position 1 of the b-face at position 2.
-        sides = (faces[(sid, 0, 2)], faces[(sid, 1, 2)])
-        for corner in sorted({faces[(side, a, 1)] for side in sides for a in (0, 1)}):
+        # The corners are the ends of the sides at position 2.
+        sides = rows[sid][square[0, 2]], rows[sid][square[1, 2]]
+        for corner in sorted({end for side in sides for end in rows[side]}):
             lines.append(f"  {ids[sid]} -> {ids[corner]} [style=dashed, arrowhead=none];")
     for d in sorted(d for d in by_dim if d >= 3):
         for cid in by_dim[d]:

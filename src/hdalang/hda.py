@@ -57,6 +57,7 @@ from hdalang.precubical import (
     UnknownCell,
     Word,
     _colimit,
+    _slots,
     tensor,
     tensor_cell_id,
     validate_precubical_map,
@@ -245,21 +246,22 @@ def _advance(label: Ipomset, step: Step, word: Word) -> Ipomset:
 
 
 @cache
-def _subsets(d: int) -> tuple[tuple[int, int, int, UpStep, DownStep], ...]:
+def _subsets(d: int) -> tuple[tuple[int, int, int, int, UpStep, DownStep], ...]:
     """The non-empty position sets of a ``d``-cell, as ``_step_table`` takes them.
 
-    Each is ``(mask, rest, low, up, down)``: bit ``p - 1`` of ``mask`` is
-    set for position ``p``, ``low`` is the lowest position, ``rest`` the
-    mask without it, and ``up``/``down`` the steps on those positions,
-    built once and shared by every cell of dimension ``d``.  Sets go by
-    size, then lexicographically, so ``rest`` always comes first.
+    Each is ``(mask, rest, slot0, slot1, up, down)``: bit ``p - 1`` of
+    ``mask`` is set for position ``p``, ``slot0`` and ``slot1`` are the row
+    slots of the lower and upper faces at the lowest position, ``rest`` the
+    mask without that position, and ``up``/``down`` the steps on those
+    positions, built once and shared by every cell of dimension ``d``.
+    Sets go by size, then lexicographically, so ``rest`` always comes first.
     """
-    out = []
+    out, slots = [], _slots(d)
     for r in range(1, d + 1):
         for positions in combinations(range(1, d + 1), r):
-            mask = sum(1 << (p - 1) for p in positions)
+            mask, low = sum(1 << (p - 1) for p in positions), positions[0]
             out.append((
-                mask, mask & (mask - 1), positions[0],
+                mask, mask & (mask - 1), slots[0, low], slots[1, low],
                 UpStep(frozenset(positions)), DownStep(frozenset(positions)),
             ))
     return tuple(out)
@@ -277,10 +279,11 @@ def _step_table(carrier: PrecubicalSet) -> tuple[_Moves, _Moves]:
     shared object.  The face that deletes the set ``P`` is the elementary
     face at ``P``'s lowest position of the face that deletes the rest of
     ``P``.  Deleting the higher positions first leaves the lowest one's
-    index unchanged, so each (cell, set) costs one face lookup per
-    direction.
+    index unchanged, so each (cell, set) costs one index into a row of the
+    carrier's face table per direction, at the slot of that position's
+    lower or upper face.
     """
-    faces = carrier.faces
+    rows = carrier.rows
     ups: _Moves = {c: [] for c in carrier.cells}
     downs: _Moves = {}
     for high in carrier.sorted_cells():
@@ -288,10 +291,10 @@ def _step_table(carrier: PrecubicalSet) -> tuple[_Moves, _Moves]:
         lower = [high] * (1 << len(word))
         upper = lower[:]
         out = downs[high] = []
-        for mask, rest, low, up, down in _subsets(len(word)):
-            lower[mask] = there = faces[(lower[rest], 0, low)]
+        for mask, rest, slot0, slot1, up, down in _subsets(len(word)):
+            lower[mask] = there = rows[lower[rest]][slot0]
             ups[there].append((up, high, word))
-            upper[mask] = there = faces[(upper[rest], 1, low)]
+            upper[mask] = there = rows[upper[rest]][slot1]
             out.append((down, there, word))
     return ups, downs
 
@@ -564,7 +567,7 @@ def language(automaton: Hda, max_events: int) -> Language:
 
 def unit_hda() -> Hda:
     """The tensor unit: one vertex, both start and accept."""
-    carrier = _unchecked(PrecubicalSet, {"v": ()}, {})
+    carrier = _unchecked(PrecubicalSet, {"v": ()}, {"v": ()})
     return Hda(carrier, frozenset({"v"}), frozenset({"v"}))
 
 

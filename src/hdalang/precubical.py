@@ -9,6 +9,12 @@ has not yet started, and ``nu = 1`` the upper face, where it has finished.
 Faces must satisfy the usual cubical interchange law, which makes
 simultaneous deletion of any position set well defined.
 
+The faces are one table of rows: ``rows[c]`` holds the faces of cell ``c``
+by slot, face ``(nu, i)`` at slot ``2 i - 2 + nu``, so a ``d``-cell's row
+has ``2 d`` ids and a vertex's row is empty.  Parsing files faces straight
+into their slots, tensors and colimits build rows from rows, and readers
+index them.
+
 Coface maps run the other way -- they embed a small word into a larger one
 and record, for the skipped positions, whether the corresponding event is
 taken as unstarted (``part_a``) or finished (``part_b``).  They compose
@@ -30,14 +36,15 @@ them; only the arrows a caller hands to a colimit are checked again.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, lru_cache
-from itertools import chain, combinations
-from typing import Iterable, Mapping, Sequence
+from functools import cache, cached_property, lru_cache
+from itertools import chain, combinations, repeat
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from hdalang.ipomset import _unchecked
 
 Word = tuple[str, ...]
 FaceKey = tuple[str, int, int]
+Row = tuple[str, ...]
 
 
 # --- errors -------------------------------------------------------------------
@@ -210,6 +217,12 @@ def tensor_coface(d: CofaceMap, e: CofaceMap) -> CofaceMap:
 # --- precubical sets ----------------------------------------------------------
 
 
+@lru_cache(maxsize=1 << 6)  # bounded, as dimensions are caller data
+def _slots(d: int) -> dict[tuple[int, int], int]:
+    """The row layout: face ``(nu, p)`` of a ``d``-cell at ``2 p - 2 + nu``, lower faces first."""
+    return {(nu, pos): 2 * pos - 2 + nu for nu in (0, 1) for pos in range(1, d + 1)}
+
+
 def validate_precubical(
     cells: Mapping[str, Word], faces: Mapping[FaceKey, str]
 ) -> list[str]:
@@ -219,15 +232,40 @@ def validate_precubical(
     cell of dimension ``d`` has all ``2 d`` elementary faces, each face has
     the word of its cell with one position deleted, and lower/upper faces
     commute per the cubical interchange law.
-
-    Cell ids and words are judged one by one only when a bulk type test
-    fails; sequence words are then judged as tuples.  One walk over
-    ``faces`` words each bad face and files each good one as
-    ``rows[cell][2 p - 2 + nu]``, and distinct keys fill distinct slots.
-    Missing faces are listed after a fault or when the faces do not number
-    the slots; otherwise interchange is checked on the rows.
     """
     problems: list[str] = []
+    _walk(cells, _runs(faces, problems), _slots, problems)
+    return problems
+
+
+def _runs(faces: Mapping[FaceKey, str], problems: list[str]) -> Iterable[tuple[str, tuple]]:
+    """The faces of a ``(cell, nu, position)`` mapping, one run each, in order, for :func:`_walk`.
+
+    A key that is not a triple is reported here; one whose position is not
+    an int goes on whole, so that no slot has it.
+    """
+    for key, tgt in faces.items():
+        try:
+            cid, nu, pos = key
+        except (TypeError, ValueError):
+            problems.append(f"face key {key!r} is not a (cell, direction, position) triple")
+            continue
+        yield cid, (((nu, pos) if isinstance(pos, int) else key, tgt),)
+
+
+def _walk(
+    cells: Mapping[str, Word], runs: Iterable[tuple[str, Iterable[tuple[Any, Any]]]],
+    slots_of: Callable[[int], Mapping[Any, int]], problems: list[str],
+) -> dict[str, Row] | None:
+    """The one validation walk: the rows it files, or None if it adds to ``problems``.
+
+    ``runs`` gives a cell's faces as ``(key, target)`` pairs in the caller's
+    order and ``slots_of(d)`` the slot of each key of a ``d``-cell; any
+    other key ends in ``(nu, position)``.  Cell ids and words are judged one
+    by one only when a bulk type test fails.  Distinct keys fill distinct
+    slots, so missing faces are listed only after a fault or when the faces
+    do not number the slots; otherwise interchange is checked on the rows.
+    """
     words, deletions = cells.values(), _deletions
     letters = [*chain.from_iterable(words)] if {tuple} >= {*map(type, words)} else [None]
     if not (all(cells) and all(letters) and {str} >= {*map(type, cells), *map(type, letters)}):
@@ -239,55 +277,66 @@ def validate_precubical(
             elif any(not isinstance(ell, str) or not ell for ell in word):
                 problems.append(f"cell {cid!r} has a word with an invalid letter: {word}")
         if not all(isinstance(word, Sequence) for word in words):
-            return problems  # the checks below take each word's length and slices
+            return None  # the checks below take each word's length and slices
         cells = {cid: tuple(word) for cid, word in cells.items()}
         deletions = _deletions.__wrapped__  # a bad letter may be unhashable
 
-    rows = {cid: [None] * (2 * len(word)) for cid, word in cells.items()}
-    minus = {cid: deletions(word) for cid, word in cells.items()}
-    for key, tgt in faces.items():
-        try:
-            cid, nu, pos = key
-        except (TypeError, ValueError):
-            problems.append(f"face key {key!r} is not a (cell, direction, position) triple")
-            continue
-        cut = minus.get(cid)
-        if cut is None:
+    empty = object()  # no target is this, not even None
+    rows = {cid: [empty] * (2 * len(word)) for cid, word in cells.items()}
+    filed = 0
+    for cid, faces in runs:
+        row = rows.get(cid)
+        if row is None:
             problems.append(f"face of unknown cell {cid!r}")
             continue
-        if nu not in (0, 1):
-            problems.append(f"face ({cid!r}, {nu}, {pos}) has direction outside {{0, 1}}")
-        if not isinstance(pos, int) or not 1 <= pos <= len(cut):
-            problems.append(f"face ({cid!r}, {nu}, {pos!r}) position outside 1..{len(cut)}")
-            continue
-        try:
-            found = cells[tgt]
-        except (KeyError, TypeError):
-            problems.append(f"face ({cid!r}, {nu}, {pos}) points at unknown cell {tgt!r}")
-            continue
-        if found != cut[pos - 1]:
-            problems.append(
-                f"face ({cid!r}, {nu}, {pos}) should have word {cut[pos - 1]} "
-                f"but {tgt!r} has {found}"
-            )
-        # A face with a bad direction is already a fault, so its slot is moot.
-        rows[cid][2 * pos - 1 if nu else 2 * pos - 2] = tgt
+        word = cells[cid]
+        d, cut, slots = len(word), deletions(word), slots_of(len(word))
+        filed += len(faces)
+        for key, tgt in faces:
+            slot = slots.get(key)
+            if slot is None:  # a direction or position fault; the key ends in (nu, position)
+                nu, pos = key[-2:]
+                if nu not in (0, 1):
+                    problems.append(f"face ({cid!r}, {nu}, {pos}) has direction outside {{0, 1}}")
+                if not (isinstance(pos, int) and 1 <= pos <= d):
+                    problems.append(f"face ({cid!r}, {nu}, {pos!r}) position outside 1..{d}")
+                    # Not a face, but a position of another type may equal one: it fills that slot.
+                    slot = _slots(d).get((nu, pos))
+                    if slot is not None:
+                        row[slot] = tgt
+                    continue
+                at = pos - 1
+            else:
+                at = slot >> 1
+                row[slot] = tgt
+            try:
+                found = cells[tgt]
+            except (KeyError, TypeError):
+                found = None
+            if found != cut[at]:
+                nu, pos = key[-2:] if type(key) is tuple else (slot & 1, at + 1)
+                problems.append(
+                    f"face ({cid!r}, {nu}, {pos}) points at unknown cell {tgt!r}" if found is None
+                    else f"face ({cid!r}, {nu}, {pos}) should have word {cut[at]} "
+                    f"but {tgt!r} has {found}"
+                )
 
-    if problems or len(faces) != sum(map(len, rows.values())):
-        return problems + [
+    if problems or filed != sum(map(len, rows.values())):
+        problems += [
             f"cell {cid!r} is missing face ({nu}, {pos})"
-            for cid, word in cells.items() for nu in (0, 1) for pos in range(1, len(word) + 1)
-            if (cid, nu, pos) not in faces
+            for cid, row in rows.items() for (nu, pos), slot in _slots(len(row) // 2).items()
+            if row[slot] is empty
         ]
+        return None
     for cid, row in rows.items():
-        for a, b, e, law in _interchange(len(row) // 2):
+        for a, b, e, law in _interchange(len(row) // 2) if len(row) > 2 else ():
             if rows[row[a]][b] != rows[row[b]][e]:
                 nu, i, mu, j = law
                 problems.append(
                     f"faces of {cid!r} at positions ({nu},{i}) and ({mu},{j}) do not "
                     f"commute: {rows[row[a]][b]!r} != {rows[row[b]][e]!r}"
                 )
-    return problems
+    return None if problems else dict(zip(rows, map(tuple, rows.values())))
 
 
 @lru_cache(maxsize=1 << 12)
@@ -303,36 +352,51 @@ def _interchange(d: int) -> tuple[tuple[int, int, int, tuple[int, int, int, int]
     For ``i < j``, deleting ``(mu, j)`` then ``(nu, i)`` equals deleting
     ``(nu, i)`` then ``(mu, j - 1)``: ``rows[row[a]][b] == rows[row[b]][e]``.
     """
+    slot = _slots(d)
     return tuple(
-        (2 * j - 2 + mu, 2 * i - 2 + nu, 2 * j - 4 + mu, (nu, i, mu, j))
+        (slot[mu, j], slot[nu, i], slot[mu, j - 1], (nu, i, mu, j))
         for i, j in combinations(range(1, d + 1), 2) for nu in (0, 1) for mu in (0, 1)
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PrecubicalSet:
-    """An immutable, validated precubical set.
+    """An immutable, validated precubical set, held as one face table.
 
-    The constructor runs :func:`validate_precubical`; tensors and colimits
-    of checked sets are valid by construction and skip it.
+    ``PrecubicalSet(cells, faces)`` runs the walk of
+    :func:`validate_precubical` and keeps the rows it files; the library's
+    tensors, colimits and parsed documents build rows directly.  Equality
+    compares cells and rows.
 
     Attributes:
         cells: cell id to word (the word's length is the dimension).
-        faces: ``(cell, nu, position)`` to the id of that elementary face.
+        rows: cell id to its faces by slot, face ``(nu, p)`` at ``2 p - 2 +
+            nu`` (:func:`_slots`): ``2 d`` ids for a ``d``-cell, none for a vertex.
+        faces: ``(cell, nu, position)`` to the id of that elementary face,
+            derived from ``rows`` once, on first use.
     """
 
     cells: dict[str, Word]
-    faces: dict[FaceKey, str]
+    rows: dict[str, Row]
 
-    def __post_init__(self) -> None:
+    def __init__(self, cells: Mapping[str, Word], faces: Mapping[FaceKey, str]) -> None:
         # A word that is not a sequence stays, to be reported (tuples skip the slow ABC check).
         cells = {cid: tuple(w) if isinstance(w, (tuple, Sequence)) else w
-                 for cid, w in self.cells.items()}
-        object.__setattr__(self, "cells", cells)
-        object.__setattr__(self, "faces", dict(self.faces))
-        problems = validate_precubical(self.cells, self.faces)
+                 for cid, w in cells.items()}
+        problems: list[str] = []
+        rows = _walk(cells, _runs(dict(faces), problems), _slots, problems)
         if problems:
             raise PrecubicalInvariant(problems)
+        object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "rows", rows)
+
+    @cached_property
+    def faces(self) -> dict[FaceKey, str]:
+        """The faces by ``(cell, nu, position)``, built from ``rows`` on first use and kept."""
+        return {
+            (cid, nu, pos): row[slot]
+            for cid, row in self.rows.items() for (nu, pos), slot in _slots(len(row) // 2).items()
+        }
 
     # -- queries --
 
@@ -383,9 +447,9 @@ class PrecubicalSet:
             raise PositionOutOfRange(
                 f"positions {sorted(low | up)} exceed 1..{d} of cell {cell!r}"
             )
-        current = cell
+        slots, current = _slots(d), cell
         for pos in sorted(low | up, reverse=True):
-            current = self.faces[(current, 0 if pos in low else 1, pos)]
+            current = self.rows[current][slots[pos in up, pos]]
         return current
 
 
@@ -408,7 +472,7 @@ def validate_precubical_map(
         if cid not in source.cells:
             problems.append(f"mapping defined on unknown cell {cid!r}")
             continue
-        if img not in target.cells:
+        if not isinstance(img, str) or img not in target.cells:  # ids are strings
             problems.append(f"cell {cid!r} maps to unknown cell {img!r}")
             continue
         if source.cells[cid] != target.cells[img]:
@@ -418,11 +482,12 @@ def validate_precubical_map(
             )
     if problems:
         return problems
-    for (cid, nu, pos), fid in source.faces.items():
-        if target.faces[(mapping[cid], nu, pos)] != mapping[fid]:
-            problems.append(
-                f"mapping does not commute with face ({nu}, {pos}) of {cid!r}"
-            )
+    for cid, row in source.rows.items():
+        image, want = target.rows[mapping[cid]], [mapping[f] for f in row]
+        problems += [
+            f"mapping does not commute with face ({nu}, {pos}) of {cid!r}"
+            for (nu, pos), slot in _slots(len(row) // 2).items() if image[slot] != want[slot]
+        ]
     return problems
 
 
@@ -467,31 +532,30 @@ def tensor(x: PrecubicalSet, y: PrecubicalSet) -> PrecubicalSet:
     """Tensor product: words concatenate, faces act blockwise.
 
     The cell set is the cartesian product; a face at a position within the
-    left block applies to the left cell, otherwise to the right cell.
+    left block applies to the left cell, otherwise to the right cell, so a
+    row is the left row, then the right row, each paired with the other cell.
     Faces and interchange hold blockwise, so the product of two valid sets
     is valid as long as no two pairs of cells get the same id.
 
     Raises:
         PrecubicalInvariant: two pairs of cells share a tensor id.
     """
-    # One id per pair of cells, made once: ``ids[xc][yc]``.
+    # One id per pair of cells, made once: ``ids[xc][yc]``, in the order of ``y.cells``.
     ids = {xc: {yc: tensor_cell_id(xc, yc) for yc in y.cells} for xc in x.cells}
+    right = [(yc, yw, y.rows[yc]) for yc, yw in y.cells.items()]
     cells: dict[str, Word] = {}
-    faces: dict[FaceKey, str] = {}
+    rows: dict[str, Row] = {}
     for xc, xw in x.cells.items():
         row = ids[xc]
-        for yc, yw in y.cells.items():
+        # The left part of each pair's row, by right cell: the ids of xc's faces paired with it.
+        faces = [ids[f].values() for f in x.rows[xc]]
+        for (yc, yw, yrow), left in zip(right, zip(*faces) if faces else repeat(())):
             cid = row[yc]
             if cid in cells:
                 raise PrecubicalInvariant([f"tensor cell id collision at {cid!r}"])
-            cells[cid] = tensor_word(xw, yw)
-            dx = len(xw)
-            for nu in (0, 1):
-                for pos in range(1, dx + 1):
-                    faces[cid, nu, pos] = ids[x.faces[xc, nu, pos]][yc]
-                for pos in range(1, len(yw) + 1):
-                    faces[cid, nu, dx + pos] = row[y.faces[yc, nu, pos]]
-    return _unchecked(PrecubicalSet, cells, faces)
+            cells[cid] = xw + yw
+            rows[cid] = (*left, *map(row.__getitem__, yrow))
+    return _unchecked(PrecubicalSet, cells, rows)
 
 
 def coproduct(parts: Sequence[PrecubicalSet]) -> tuple[PrecubicalSet, list[PrecubicalMap]]:
@@ -516,13 +580,17 @@ def finite_colimit(
         The colimit and one cocone map per object.
 
     Raises:
-        IllFormedDiagram: an arrow's endpoints are out of range or its
-            mapping is not a valid morphism between them.
+        IllFormedDiagram: an arrow is not such a triple, its endpoints are
+            not indices of the diagram, or its mapping is not a valid
+            morphism between them.
     """
-    for k, (si, ti, mapping) in enumerate(morphisms):
-        if not (0 <= si < len(objects)) or not (0 <= ti < len(objects)):
+    for k, arrow in enumerate(morphisms):
+        if not (isinstance(arrow, Sequence) and len(arrow) == 3 and isinstance(arrow[2], Mapping)):
+            raise IllFormedDiagram(f"morphism {k} is not (source, target, mapping): {arrow!r}")
+        si, ti, mapping = arrow
+        if not all(isinstance(i, int) and 0 <= i < len(objects) for i in (si, ti)):
             raise IllFormedDiagram(
-                f"morphism {k} has endpoints ({si}, {ti}) outside the diagram"
+                f"morphism {k} has endpoints ({si!r}, {ti!r}) outside the diagram"
             )
         problems = validate_precubical_map(objects[si], objects[ti], mapping)
         if problems:
@@ -537,15 +605,16 @@ def _colimit(
     morphisms: Sequence[tuple[int, int, Mapping[str, str]]],
 ) -> tuple[PrecubicalSet, list[PrecubicalMap]]:
     """:func:`finite_colimit` of arrows the caller knows to be precubical maps."""
-    # Union-find over tagged cells ``(index, cell)``; linking the larger root
-    # under the smaller keeps every root the least member of its class.
-    parent = {(i, c): (i, c) for i, obj in enumerate(objects) for c in obj.cells}
+    # Union-find over tagged cells ``(index, cell)``: ``parent`` holds every
+    # member that is not a root, and linking the larger root under the
+    # smaller keeps every root the least member of its class.
+    parent: dict[tuple[int, str], tuple[int, str]] = {}
 
     def find(member: tuple[int, str]) -> tuple[int, str]:
         root = member
-        while parent[root] != root:
+        while root in parent:
             root = parent[root]
-        while parent[member] != root:
+        while member != root:
             parent[member], member = root, parent[member]
         return root
 
@@ -556,16 +625,17 @@ def _colimit(
                 parent[max(one, two)] = min(one, two)
 
     # Arrows keep words and commute with faces, so all members of a class
-    # share one word and their faces fall in one class: the quotient is a
-    # valid precubical set and each cocone a precubical map.
-    tags = [{c: "%d:%s" % find((i, c)) for c in obj.cells} for i, obj in enumerate(objects)]
+    # share one word and their rows map to one row: the quotient is a valid
+    # precubical set and each cocone a precubical map.
+    tags = [{c: f"{i}:{c}" for c in obj.cells} for i, obj in enumerate(objects)]
+    for i, c in parent:
+        tags[i][c] = "%d:%s" % find((i, c))
     words = {tags[i][c]: w for i, obj in enumerate(objects) for c, w in obj.cells.items()}
-    faces = {
-        (tags[i][c], nu, pos): tags[i][f]
-        for i, obj in enumerate(objects)
-        for (c, nu, pos), f in obj.faces.items()
-    }
-    colim = _unchecked(PrecubicalSet, words, faces)
+    rows: dict[str, Row] = {}
+    for obj, tag in zip(objects, tags):
+        name = tag.__getitem__
+        rows.update({name(c): row and tuple(map(name, row)) for c, row in obj.rows.items()})
+    colim = _unchecked(PrecubicalSet, words, rows)
     cocones = [
         _unchecked(PrecubicalMap, obj, colim, tag)
         for obj, tag in zip(objects, tags)

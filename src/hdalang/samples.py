@@ -52,43 +52,23 @@ def grid_automaton() -> Hda:
     there only happens after ``d``.  The start is the bottom-left vertex;
     the accepting cells are the top-middle and top-right vertices.
     """
-    cells: dict[str, tuple[str, ...]] = {}
-    for col in range(3):
-        for row in range(3):
-            cells[f"v{col}{row}"] = ()
-    for col, label in ((0, "b"), (1, "d")):
-        for row in (0, 1):
-            cells[f"{label}{row}"] = (label,)
-    cells["b2"] = ("b",)
-    for col in range(3):
-        cells[f"a{col}"] = ("a",)
-        cells[f"c{col}"] = ("c",)
-    cells["sq_ba"] = ("b", "a")
-    cells["sq_da"] = ("d", "a")
-
+    cells = {f"v{col}{row}": () for col in range(3) for row in range(3)}
+    # Each edge and square by its word and its faces in row order, (0, 1),
+    # (1, 1), (0, 2), (1, 2): an edge goes from its unstarted to its
+    # finished end.  b spans columns 0->1 and d 1->2, a rows 0->1 and c
+    # rows 1->2; a square runs its horizontal letter, then a.
+    rows = {
+        "b0": ("b", "v00 v10"), "b1": ("b", "v01 v11"),
+        "d0": ("d", "v10 v20"), "d1": ("d", "v11 v21"), "b2": ("b", "v02 v12"),
+        "a0": ("a", "v00 v01"), "c0": ("c", "v01 v02"), "a1": ("a", "v10 v11"),
+        "c1": ("c", "v11 v12"), "a2": ("a", "v20 v21"), "c2": ("c", "v21 v22"),
+        "sq_ba": ("ba", "a0 a1 b0 b1"), "sq_da": ("da", "a1 a2 d0 d1"),
+    }
     faces: dict[tuple[str, int, int], str] = {}
-    # Horizontal edges: b spans columns 0->1, d spans 1->2.
-    for row in range(3):
-        faces[(f"b{row}", 0, 1)] = f"v0{row}"
-        faces[(f"b{row}", 1, 1)] = f"v1{row}"
-    for row in (0, 1):
-        faces[(f"d{row}", 0, 1)] = f"v1{row}"
-        faces[(f"d{row}", 1, 1)] = f"v2{row}"
-    # Vertical edges: a spans rows 0->1, c spans rows 1->2.
-    for col in range(3):
-        faces[(f"a{col}", 0, 1)] = f"v{col}0"
-        faces[(f"a{col}", 1, 1)] = f"v{col}1"
-        faces[(f"c{col}", 0, 1)] = f"v{col}1"
-        faces[(f"c{col}", 1, 1)] = f"v{col}2"
-    # Filled squares; position 1 is the horizontal letter, position 2 the a.
-    faces[("sq_ba", 0, 1)] = "a0"
-    faces[("sq_ba", 1, 1)] = "a1"
-    faces[("sq_ba", 0, 2)] = "b0"
-    faces[("sq_ba", 1, 2)] = "b1"
-    faces[("sq_da", 0, 1)] = "a1"
-    faces[("sq_da", 1, 1)] = "a2"
-    faces[("sq_da", 0, 2)] = "d0"
-    faces[("sq_da", 1, 2)] = "d1"
+    for cid, (word, row) in rows.items():
+        cells[cid] = tuple(word)
+        for slot, face in enumerate(row.split()):
+            faces[cid, slot % 2, slot // 2 + 1] = face
 
     return Hda(
         PrecubicalSet(cells, faces),

@@ -8,7 +8,9 @@ rebuild such results through ``Ipomset(...)``, ``Language(...)``,
 ``PrecubicalSet(...)``, ``PrecubicalMap(...)``, ``Hda(...)`` and
 ``HdaMap(...)``, which check everything, and require the same value and
 the same field types: a builder that hands over a ``list`` or a relation
-that is not transitively closed fails here.  The last tests keep
+that is not transitively closed fails here.  Every route to a precubical
+set must also give the faces the tests derive themselves, each at slot
+``2 p - 2 + nu`` of its cell's row.  The last tests keep
 ``assert`` out of the package, because ``python -O`` strips it, and
 ``raise AssertionError`` too, because a failure must reach the user as a
 typed error; they keep ``object.__new__``, which skips every check,
@@ -21,6 +23,7 @@ The public names in ``hdalang.__all__`` are pinned at the end.
 from __future__ import annotations
 
 import ast
+import json
 import pathlib
 import random
 import sys
@@ -50,12 +53,17 @@ from hdalang import (
     replication_chain_prefix,
     restrict,
     tensor,
+    tensor_cell_id,
     tensor_hda,
     tensor_power,
     validate,
+    validate_precubical,
 )
+from hdalang.formats import parse_document, precubical_to_doc, serialize
 from hdalang.samples import edge_automaton, grid_automaton, pushout_span
-from oracles import oracle_colimit_names, random_hda, random_ipomset, universe_up_to
+from oracles import (
+    oracle_colimit_names, oracle_is_precubical, random_hda, random_ipomset, universe_up_to,
+)
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "hdalang"
 
@@ -142,8 +150,9 @@ class TestLanguageBuilds:
 def assert_set_as_if_public(x: PrecubicalSet) -> None:
     """``PrecubicalSet(...)`` accepts ``x``'s own data and builds an equal value."""
     assert PrecubicalSet(x.cells, x.faces) == x
-    assert type(x.cells) is dict and type(x.faces) is dict
+    assert type(x.cells) is dict and type(x.faces) is dict and type(x.rows) is dict
     assert all(type(w) is tuple for w in x.cells.values())
+    assert all(type(row) is tuple for row in x.rows.values())
 
 
 def assert_map_as_if_public(f: PrecubicalMap) -> None:
@@ -198,6 +207,102 @@ class TestPrecubicalBuilds:
                 assert cocone.mapping == {c: names[(i, c)] for c in objects[i].cells}
 
 
+def faces_by_definition(cells: dict, faces_of) -> dict:
+    """The ``(cell, nu, position)`` faces of ``cells``, with ``faces_of(cell, nu, position)``."""
+    return {
+        (cid, nu, pos): faces_of(cid, nu, pos)
+        for cid, word in cells.items() for nu in (0, 1) for pos in range(1, len(word) + 1)
+    }
+
+
+def assert_faces(x: PrecubicalSet, faces: dict) -> None:
+    """``x`` has ``faces``, each at slot ``2 p - 2 + nu`` of its row, and is a precubical set."""
+    assert x.faces == faces
+    assert x.faces == faces_by_definition(x.cells, lambda c, nu, p: x.rows[c][2 * p - 2 + nu])
+    assert oracle_is_precubical(x.cells, x.faces)
+    assert PrecubicalSet(x.cells, x.faces) == x
+
+
+class TestFaceTable:
+    """Every route to a precubical set gives the faces that the test derives itself."""
+
+    def carriers(self, seed: int) -> list[PrecubicalSet]:
+        rnd = random.Random(seed)
+        return [grid_automaton().carrier] + [small_hda(rnd).carrier for _ in range(8)]
+
+    def test_public_constructor(self):
+        for x in self.carriers(611):
+            faces = dict(reversed(x.faces.items()))
+            assert_faces(PrecubicalSet(dict(x.cells), faces), faces)
+
+    def test_parse_document(self):
+        for x in self.carriers(612):
+            doc = json.loads(serialize(precubical_to_doc(x)))
+            faces = {
+                (cell["id"], int(key.split(",")[0]), int(key.split(",")[1])): target
+                for cell in doc["cells"] for key, target in cell["faces"].items()
+            }
+            assert_faces(parse_document(json.dumps(doc)), faces)
+
+    def test_tensor(self):
+        # A face at a position of the left block acts on the left cell.
+        pool = self.carriers(613)
+        for x, y in zip(pool, pool[1:]):
+            pairs = {tensor_cell_id(xc, yc): (xc, yc) for xc in x.cells for yc in y.cells}
+
+            def face(cid, nu, pos, x=x, y=y, pairs=pairs):
+                xc, yc = pairs[cid]
+                dx = len(x.cells[xc])
+                if pos <= dx:
+                    return tensor_cell_id(x.faces[xc, nu, pos], yc)
+                return tensor_cell_id(xc, y.faces[yc, nu, pos - dx])
+
+            product = tensor(x, y)
+            assert_faces(product, faces_by_definition(product.cells, face))
+
+    def test_coproduct(self):
+        pool = self.carriers(614)
+        total, _ = coproduct(pool)
+        faces = {
+            (f"{i}:{cid}", nu, pos): f"{i}:{target}"
+            for i, part in enumerate(pool) for (cid, nu, pos), target in part.faces.items()
+        }
+        assert_faces(total, faces)
+
+    def test_finite_colimit(self):
+        rnd = random.Random(615)
+        point = PrecubicalSet({"p": ()}, {})
+        for _ in range(10):
+            x, y = small_hda(rnd).carrier, small_hda(rnd).carrier
+            objects = [point, x, y]
+            arrows = [(0, i, {"p": rnd.choice(objects[i].cells_of_dim(0))}) for i in (1, 2)]
+            names = oracle_colimit_names(objects, arrows)
+            faces = {
+                (names[i, cid], nu, pos): names[i, target]
+                for i, part in enumerate(objects) for (cid, nu, pos), target in part.faces.items()
+            }
+            assert_faces(finite_colimit(objects, arrows)[0], faces)
+
+    def test_replication_chain_prefix(self):
+        # Stage k + 1 glues seed ** (k + 1) onto stage k along seed ** k;
+        # the oracle names the classes of that pushout.
+        seed = edge_automaton("a", with_start=False)
+        stages, _ = replication_chain_prefix(seed, 4, "v0", "v1")
+        assert_faces(stages[0].carrier, seed.carrier.faces)
+        power, into = seed.carrier, {c: c for c in seed.carrier.cells}
+        for before, stage in zip(stages, stages[1:]):
+            bigger = tensor(power, seed.carrier)
+            objects = [power, before.carrier, bigger]
+            onto_base = {c: tensor_cell_id(c, "v0") for c in power.cells}
+            names = oracle_colimit_names(objects, [(0, 1, into), (0, 2, onto_base)])
+            faces = {
+                (names[i, cid], nu, pos): names[i, target]
+                for i, part in enumerate(objects) for (cid, nu, pos), target in part.faces.items()
+            }
+            assert_faces(stage.carrier, faces)
+            power, into = bigger, {c: names[2, c] for c in bigger.cells}
+
+
 class TestAutomatonBuilds:
     def test_tensor_coproduct_pushout_and_replicate(self):
         rnd = random.Random(606)
@@ -229,22 +334,35 @@ class TestAutomatonBuilds:
                 assert type(inclusion.mapping) is dict
 
     def test_built_sets_skip_validate_precubical(self, monkeypatch):
+        # Counts the one validation walk, which validate_precubical and the
+        # public constructor both run.
         edge = edge_automaton("a")
+        seed = edge_automaton("a", with_start=False)
+        span = pushout_span()
         module = sys.modules["hdalang.precubical"]
-        check = module.validate_precubical
+        walk = module._walk
         calls = []
 
-        def counted(cells, faces):
+        def counted(cells, *rest):
             calls.append(len(cells))
-            return check(cells, faces)
+            return walk(cells, *rest)
 
-        monkeypatch.setattr(module, "validate_precubical", counted)
+        monkeypatch.setattr(module, "_walk", counted)
         replicate(edge, 4)
         tensor_power(edge, 4)
+        replication_chain_prefix(seed, 3, "v0", "v1")
+        pushout_hda(*span)
         assert calls == []
-        # The count does see the public constructor.
+        # The count does see the public constructor and validate_precubical.
         PrecubicalSet(edge.carrier.cells, edge.carrier.faces)
         assert calls == [3]
+        assert validate_precubical(edge.carrier.cells, edge.carrier.faces) == []
+        assert calls == [3, 3]
+
+    def test_faces_are_derived_once(self):
+        carrier = tensor_power(edge_automaton("a"), 2).carrier
+        assert "faces" not in vars(carrier)
+        assert carrier.faces is carrier.faces
 
     def test_arrows_are_checked_once(self, monkeypatch):
         # pushout_hda checks each leg as an HDA map and builds the colimit

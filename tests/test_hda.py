@@ -130,6 +130,12 @@ class TestHdaBasics:
         x = grid_automaton()
         HdaMap(source=x, target=x, mapping={c: c for c in x.carrier.cells})
 
+    def test_unhashable_image_is_a_violation(self):
+        x = edge_automaton("a")
+        with pytest.raises(PrecubicalInvariant) as caught:
+            HdaMap(x, x, {"v0": ["x"], "v1": "v1", "e": "e"})
+        assert caught.value.violations == ("cell 'v0' maps to unknown cell ['x']",)
+
 
 # --- paths and labels ---------------------------------------------------------
 
@@ -758,6 +764,12 @@ class TestPushoutHda:
         apex, left, right, into_left, into_right = pushout_span()
         with pytest.raises(PrecubicalInvariant):
             pushout_hda(apex, left, right, {"p": "e"}, into_right)
+
+    def test_unhashable_leg_image_is_a_violation(self):
+        apex, left, right, into_left, into_right = pushout_span()
+        with pytest.raises(PrecubicalInvariant) as caught:
+            pushout_hda(apex, left, right, into_left, {"p": ["v0"]})
+        assert caught.value.violations == ("right leg: cell 'p' maps to unknown cell ['v0']",)
 
     def test_markings_survive_the_gluing(self):
         apex, left, right, into_left, into_right = pushout_span()

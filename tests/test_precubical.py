@@ -21,6 +21,7 @@ Core claims exercised here:
 from __future__ import annotations
 
 import itertools
+import json
 import random
 from collections import deque
 
@@ -50,6 +51,7 @@ from hdalang import (
     validate_precubical,
     validate_precubical_map,
 )
+from hdalang.formats import parse_document
 from hdalang.samples import edge_automaton, grid_automaton
 from oracles import oracle_is_precubical, random_hda
 
@@ -403,6 +405,34 @@ class TestValidatePrecubical:
         assert validate_precubical(cells, faces) == problems
         assert validate_precubical(tuples, faces) == problems
 
+    def test_faults_keep_the_order_faces_are_given_in(self):
+        # The square's faces come out of slot order, with two faults; both
+        # entry points list them as given, not by slot.
+        doc = {"type": "precubical", "cells": [
+            {"id": "u", "word": []},
+            {"id": "v", "word": []},
+            {"id": "a", "word": ["a"], "faces": {"1,1": "v", "0,1": "u"}},
+            {"id": "b", "word": ["b"], "faces": {"1,1": "v", "0,1": "u"}},
+            {"id": "sq", "word": ["a", "b"],
+             "faces": {"1,2": "ghost", "0,2": "a", "1,1": "b", "0,1": "a"}},
+        ]}
+        problems = [
+            "face ('sq', 1, 2) points at unknown cell 'ghost'",
+            "face ('sq', 0, 1) should have word ('b',) but 'a' has ('a',)",
+        ]
+        with pytest.raises(PrecubicalInvariant) as parsed:
+            parse_document(json.dumps(doc))
+        assert list(parsed.value.violations) == problems
+        cells = {cell["id"]: tuple(cell["word"]) for cell in doc["cells"]}
+        faces = {
+            (cell["id"], int(key[0]), int(key[2])): target
+            for cell in doc["cells"] for key, target in cell.get("faces", {}).items()
+        }
+        assert validate_precubical(cells, faces) == problems
+        with pytest.raises(PrecubicalInvariant) as built:
+            PrecubicalSet(cells, faces)
+        assert list(built.value.violations) == problems
+
 
 def corruptions(carrier: PrecubicalSet):
     """Each single corruption of a valid carrier, as ``(kind, cells, faces)``.
@@ -540,6 +570,15 @@ class TestPrecubicalMap:
         assert problem in validate_precubical_map(x, x, mapping)
         with pytest.raises(PrecubicalInvariant):
             PrecubicalMap(source=x, target=x, mapping=mapping)
+
+    def test_unhashable_image_is_a_violation(self):
+        x = edge_complex()
+        mapping = {"v0": ["x"], "v1": "v1", "e": "e"}
+        problem = "cell 'v0' maps to unknown cell ['x']"
+        assert validate_precubical_map(x, x, mapping) == [problem]
+        with pytest.raises(PrecubicalInvariant) as caught:
+            PrecubicalMap(x, x, mapping)
+        assert caught.value.violations == (problem,)
 
     def test_compose_maps(self):
         x = edge_complex()
@@ -687,6 +726,17 @@ class TestFiniteColimit:
         x = edge_complex()
         with pytest.raises(IllFormedDiagram):
             finite_colimit([x], [(0, 5, {"v0": "v0"})])
+
+    @pytest.mark.parametrize(
+        "arrow",
+        [(0, 0, ["v0"]), (0, 0, {"v0": "v0"}, 1), (0.0, 0, {"v0": "v0"}),
+         ("0", 0, {"v0": "v0"}), None],
+        ids=["list-mapping", "four-tuple", "float-index", "string-index", "none"],
+    )
+    def test_malformed_arrow_is_ill_formed(self, arrow):
+        x = edge_complex()
+        with pytest.raises(IllFormedDiagram):
+            finite_colimit([x], [arrow])
 
     def test_bad_mapping(self):
         x = edge_complex()
