@@ -42,13 +42,12 @@ bounded languages are unaffected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
 from typing import Iterator, Mapping, Sequence
 
 from hdalang.ipomset import (
-    InternalOrderCycle, Ipomset, _glued, _unchecked, identity, subsumes,
+    InternalOrderCycle, Ipomset, _glued, _unchecked, _Value, identity, subsumes,
 )
 from hdalang.language import Language, _maxima
 from hdalang.precubical import (
@@ -67,8 +66,7 @@ from hdalang.precubical import (
 # --- automata -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Hda:
+class Hda(_Value):
     """A precubical set with start and accept markings.
 
     Attributes:
@@ -77,9 +75,7 @@ class Hda:
         accept: cells (of any dimension) where paths may end.
     """
 
-    carrier: PrecubicalSet
-    start: frozenset[str]
-    accept: frozenset[str]
+    __slots__ = ("carrier", "start", "accept")
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "start", frozenset(self.start))
@@ -119,13 +115,10 @@ def _unmarked(source: Hda, target: Hda, mapping: Mapping[str, str]) -> list[str]
     return problems
 
 
-@dataclass(frozen=True)
-class HdaMap:
+class HdaMap(_Value):
     """A validated morphism of higher-dimensional automata."""
 
-    source: Hda
-    target: Hda
-    mapping: dict[str, str]
+    __slots__ = ("source", "target", "mapping")
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "mapping", dict(self.mapping))
@@ -140,21 +133,19 @@ class HdaMap:
 # --- paths ------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class UpStep:
+class UpStep(_Value):
     """Start the events at these positions of the *target* cell (1-based)."""
 
-    positions: frozenset[int]
+    __slots__ = ("positions",)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "positions", frozenset(self.positions))
 
 
-@dataclass(frozen=True)
-class DownStep:
+class DownStep(_Value):
     """Finish the events at these positions of the *source* cell (1-based)."""
 
-    positions: frozenset[int]
+    __slots__ = ("positions",)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "positions", frozenset(self.positions))
@@ -163,12 +154,10 @@ class DownStep:
 Step = UpStep | DownStep
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(_Value):
     """An alternating sequence of cells and steps; one more cell than steps."""
 
-    cells: tuple[str, ...]
-    steps: tuple[Step, ...]
+    __slots__ = ("cells", "steps")
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "cells", tuple(self.cells))

@@ -47,9 +47,8 @@ The module provides:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, zip_longest
 from typing import Hashable, Iterable, Mapping, Sequence, TypeVar
 
 Pair = tuple[int, int]
@@ -144,8 +143,55 @@ def _closed(n: int, pairs: Iterable[Pair]) -> tuple[list[int], list[int]]:
 # --- canonical representation ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Ipomset:
+class _Value:
+    """Base of the package's immutable values: fields, then ``_`` caches, in ``__slots__``.
+
+    Fields come by position or keyword (``_defaults`` fills omitted ones), caches start
+    as ``None``, then ``__post_init__`` runs; ``==``, ``hash`` and ``repr`` use the fields.
+    """
+
+    __slots__ = ()
+    _defaults: dict[str, object] = {}
+
+    def __init_subclass__(cls) -> None:
+        cls.__match_args__ = names = tuple(n for n in cls.__slots__ if n[0] != "_")
+        # Generated for plain slot loads: operator.attrgetter made == and hash 1.5x slower.
+        cls._astuple = eval(f"lambda self: ({''.join(f'self.{n}, ' for n in names)})")
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        names = self.__match_args__
+        values = {**self._defaults, **kwargs, **dict(zip(names, args))}
+        if values.keys() ^ names or len(args) > len(names) or kwargs.keys() & names[: len(args)]:
+            raise TypeError(f"{type(self).__name__}() takes {', '.join(names)}, each once")
+        for name in self.__slots__:
+            _set(self, name, values.get(name))
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        """Check and normalise the fields; a class with invariants overrides it."""
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._astuple() == other._astuple()
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{n}={v!r}" for n, v in zip(self.__match_args__, self._astuple()))
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self) -> tuple[object, ...]:
+        return _unchecked, (type(self), *self._astuple())
+
+
+class Ipomset(_Value):
     """A canonical interval-interfaced pomset.
 
     Events are ``0..len(labels)-1``.  The numbering linearises the union of
@@ -167,13 +213,7 @@ class Ipomset:
         targets: events still running at the end (maximal ones only).
     """
 
-    labels: tuple[str, ...]
-    precedence: frozenset[Pair]
-    sources: frozenset[int]
-    targets: frozenset[int]
-
-    # Derived bitmasks, set by :func:`_masks` on first use; not a field.
-    _derived = None
+    __slots__ = ("labels", "precedence", "sources", "targets", "_derived")
 
     def __post_init__(self) -> None:
         n = len(self.labels)
@@ -231,20 +271,30 @@ class Ipomset:
 
 
 _set = object.__setattr__
+_put_labels, _put_precedence, _put_sources, _put_targets, _put_derived = (
+    Ipomset.__dict__[name].__set__ for name in Ipomset.__slots__
+)
 
 
 def _unchecked(cls: type[_T], *fields: object) -> _T:
-    """An instance of the dataclass ``cls`` holding ``fields`` as they are.
+    """An instance of the :class:`_Value` ``cls`` holding ``fields`` as they are.
 
-    The fields are given by position, in ``cls.__match_args__`` order.
-    Skips ``__post_init__``, so it is only for values the library built
-    from checked ones: they must already have the field types and the
-    invariants the checked constructor would establish.  It is the
-    package's one builder of this kind, for every dataclass it makes.
+    The fields are given in ``cls.__match_args__`` order; caches start as
+    ``None``.  Skips ``__post_init__``, so it is only for values built from
+    checked ones: they must already have the field types and invariants
+    the constructor would establish.  It is the one builder of this kind;
+    an ``Ipomset``, every path label, is set slot by slot with no loop.
     """
     value = object.__new__(cls)
-    for name, field_value in zip(cls.__match_args__, fields):
-        _set(value, name, field_value)
+    if cls is Ipomset:
+        _put_labels(value, fields[0])
+        _put_precedence(value, fields[1])
+        _put_sources(value, fields[2])
+        _put_targets(value, fields[3])
+        _put_derived(value, None)
+        return value
+    for name, field in zip_longest(cls.__slots__, fields):
+        _set(value, name, field)
     return value
 
 
@@ -261,10 +311,8 @@ def _masks(p: Ipomset) -> _Masks:
     (follows) ``x``; ``keys[x]`` is event ``x``'s label and interface role,
     ``pools`` maps each key to the mask of the events that have it, and
     ``bag`` is the sorted keys, the multiset a bijection must preserve.
-    They are derived from the stored fields on first use and kept on the
-    instance.  The cache is written by attribute, never through
-    ``__dict__``, which would turn the instance's inline attribute values
-    into a full dictionary and cost memory on every cached ipomset.
+    They are derived from the stored fields on first use and kept in the
+    instance's ``_derived`` slot.
     """
     masks = p._derived
     if masks is None:
@@ -280,7 +328,7 @@ def _masks(p: Ipomset) -> _Masks:
         for x, key in enumerate(keys):
             pools[key] = pools.get(key, 0) | 1 << x
         masks = (tuple(pred), tuple(succ), keys, pools, tuple(sorted(keys)))
-        _set(p, "_derived", masks)
+        _put_derived(p, masks)
     return masks
 
 
@@ -563,20 +611,17 @@ def subsumes(p: Ipomset, q: Ipomset) -> tuple[int, ...] | None:
 # --- interval recognition --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IntervalRepresentation:
+class IntervalRepresentation(_Value):
     """Closed integer intervals realising a precedence order.
 
     Event ``x`` is assigned the interval ``[begin[x], end[x]]``; ``x``
     precedes ``y`` exactly when ``end[x] < begin[y]``.
     """
 
-    begin: tuple[int, ...]
-    end: tuple[int, ...]
+    __slots__ = ("begin", "end")
 
 
-@dataclass(frozen=True)
-class TwoPlusTwoWitness:
+class TwoPlusTwoWitness(_Value):
     """Four events forming the forbidden ``2+2`` suborder.
 
     ``first_low`` precedes ``first_high`` and ``second_low`` precedes
@@ -585,10 +630,7 @@ class TwoPlusTwoWitness:
     exists.
     """
 
-    first_low: int
-    first_high: int
-    second_low: int
-    second_high: int
+    __slots__ = ("first_low", "first_high", "second_low", "second_high")
 
 
 def interval_representation(p: Ipomset) -> IntervalRepresentation | TwoPlusTwoWitness:
@@ -603,14 +645,14 @@ def interval_representation(p: Ipomset) -> IntervalRepresentation | TwoPlusTwoWi
     pred = _masks(p)[0]
     distinct, broken = _predecessor_chain(pred)
     if broken is not None:
-        return TwoPlusTwoWitness(*_two_plus_two(pred, *broken))
+        return _unchecked(TwoPlusTwoWitness, *_two_plus_two(pred, *broken))
     level = {mask: i for i, mask in enumerate(distinct)}
     begin = tuple(level[mask] for mask in pred)
     end = tuple(
         max((i for i, mask in enumerate(distinct) if not mask >> x & 1), default=0)
         for x in range(n)
     )
-    return IntervalRepresentation(begin=begin, end=end)
+    return _unchecked(IntervalRepresentation, begin, end)
 
 
 def _predecessor_chain(

@@ -27,7 +27,6 @@ every order for :func:`extensions`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -42,6 +41,7 @@ from hdalang.ipomset import (
     _predecessor_chain,
     _two_plus_two,
     _unchecked,
+    _Value,
     glue,
     is_interval,
     parallel,
@@ -53,8 +53,7 @@ class NotInterval(ValueError):
     """A language generator's precedence is not an interval order."""
 
 
-@dataclass(frozen=True)
-class Language:
+class Language(_Value):
     """A subsumption-closed language, given by its generator antichain.
 
     Attributes:
@@ -67,8 +66,8 @@ class Language:
             that is not a non-negative ``int`` is refused with ``ValueError``.
     """
 
-    generators: frozenset[Ipomset]
-    event_bound: int | None = None
+    __slots__ = ("generators", "event_bound")
+    _defaults = {"event_bound": None}
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "generators", frozenset(self.generators))

@@ -35,12 +35,11 @@ them; only the arrows a caller hands to a colimit are checked again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cache, cached_property, lru_cache
+from functools import cache, lru_cache
 from itertools import chain, combinations, repeat
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
-from hdalang.ipomset import _unchecked
+from hdalang.ipomset import _unchecked, _Value
 
 Word = tuple[str, ...]
 FaceKey = tuple[str, int, int]
@@ -85,8 +84,7 @@ class PrecubicalInvariant(PrecubicalError):
 # --- coface maps -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CofaceMap:
+class CofaceMap(_Value):
     """An embedding of one word into another with a start/finish verdict.
 
     Attributes:
@@ -100,11 +98,7 @@ class CofaceMap:
             *finished*.
     """
 
-    source: Word
-    target: Word
-    image: tuple[int, ...]
-    part_a: frozenset[int]
-    part_b: frozenset[int]
+    __slots__ = ("source", "target", "image", "part_a", "part_b")
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "source", tuple(self.source))
@@ -359,8 +353,7 @@ def _interchange(d: int) -> tuple[tuple[int, int, int, tuple[int, int, int, int]
     )
 
 
-@dataclass(frozen=True, init=False)
-class PrecubicalSet:
+class PrecubicalSet(_Value):
     """An immutable, validated precubical set, held as one face table.
 
     ``PrecubicalSet(cells, faces)`` runs the walk of
@@ -373,11 +366,10 @@ class PrecubicalSet:
         rows: cell id to its faces by slot, face ``(nu, p)`` at ``2 p - 2 +
             nu`` (:func:`_slots`): ``2 d`` ids for a ``d``-cell, none for a vertex.
         faces: ``(cell, nu, position)`` to the id of that elementary face,
-            derived from ``rows`` once, on first use.
+            derived from ``rows`` on first use and kept in the ``_faces`` slot.
     """
 
-    cells: dict[str, Word]
-    rows: dict[str, Row]
+    __slots__ = ("cells", "rows", "_faces")
 
     def __init__(self, cells: Mapping[str, Word], faces: Mapping[FaceKey, str]) -> None:
         # A word that is not a sequence stays, to be reported (tuples skip the slow ABC check).
@@ -387,16 +379,16 @@ class PrecubicalSet:
         rows = _walk(cells, _runs(dict(faces), problems), _slots, problems)
         if problems:
             raise PrecubicalInvariant(problems)
-        object.__setattr__(self, "cells", cells)
-        object.__setattr__(self, "rows", rows)
+        super().__init__(cells, rows)
 
-    @cached_property
+    @property
     def faces(self) -> dict[FaceKey, str]:
-        """The faces by ``(cell, nu, position)``, built from ``rows`` on first use and kept."""
-        return {
-            (cid, nu, pos): row[slot]
-            for cid, row in self.rows.items() for (nu, pos), slot in _slots(len(row) // 2).items()
-        }
+        """The faces by ``(cell, nu, position)``, built from ``rows`` once, into ``_faces``."""
+        if self._faces is None:
+            faces = {(cid, nu, pos): row[slot] for cid, row in self.rows.items()
+                     for (nu, pos), slot in _slots(len(row) // 2).items()}
+            object.__setattr__(self, "_faces", faces)
+        return self._faces
 
     # -- queries --
 
@@ -491,13 +483,10 @@ def validate_precubical_map(
     return problems
 
 
-@dataclass(frozen=True)
-class PrecubicalMap:
+class PrecubicalMap(_Value):
     """A validated morphism of precubical sets."""
 
-    source: PrecubicalSet
-    target: PrecubicalSet
-    mapping: dict[str, str]
+    __slots__ = ("source", "target", "mapping")
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "mapping", dict(self.mapping))
