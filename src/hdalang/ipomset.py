@@ -143,11 +143,15 @@ def _closed(n: int, pairs: Iterable[Pair]) -> tuple[list[int], list[int]]:
 # --- canonical representation ------------------------------------------------
 
 
+_set = object.__setattr__
+
+
 class _Value:
     """Base of the package's immutable values: fields, then ``_`` caches, in ``__slots__``.
 
-    Fields come by position or keyword (``_defaults`` fills omitted ones), caches start
-    as ``None``, then ``__post_init__`` runs; ``==``, ``hash`` and ``repr`` use the fields.
+    Each subclass gets generated code, as dataclasses would give it: ``__init__`` takes
+    the fields by position or keyword (``_defaults`` holds the last ones' defaults), sets
+    the caches to ``None`` and runs ``__post_init__``; ``==`` and ``hash`` use the fields.
     """
 
     __slots__ = ()
@@ -155,31 +159,28 @@ class _Value:
 
     def __init_subclass__(cls) -> None:
         cls.__match_args__ = names = tuple(n for n in cls.__slots__ if n[0] != "_")
-        # Generated for plain slot loads: operator.attrgetter made == and hash 1.5x slower.
-        cls._astuple = eval(f"lambda self: ({''.join(f'self.{n}, ' for n in names)})")
-
-    def __init__(self, *args: object, **kwargs: object) -> None:
-        names = self.__match_args__
-        values = {**self._defaults, **kwargs, **dict(zip(names, args))}
-        if values.keys() ^ names or len(args) > len(names) or kwargs.keys() & names[: len(args)]:
-            raise TypeError(f"{type(self).__name__}() takes {', '.join(names)}, each once")
-        for name in self.__slots__:
-            _set(self, name, values.get(name))
-        self.__post_init__()
+        # Generated for plain slot loads and no loops (a generic __init__ built an UpStep
+        # 3.7x slower); == tests field by field, as a tuple comparison would, building none.
+        sets = "".join(f"    _set(self, {n!r}, {n if n in names else None})\n"
+                       for n in cls.__slots__)
+        same = " and ".join(f"self.{n} == other.{n}" for n in names)
+        space = {"_set": _set}
+        exec(f"def __init__(self, {', '.join(names)}):\n{sets}    self.__post_init__()\n"
+             "def __eq__(self, other):\n    if other.__class__ is not self.__class__:\n"
+             f"        return NotImplemented\n    return self is other or {same}\n"
+             f"def __hash__(self):\n    return hash(({''.join(f'self.{n}, ' for n in names)}))\n",
+             space)
+        space["__init__"].__defaults__ = tuple(cls._defaults.values())
+        for name in ("__init__", "__eq__", "__hash__"):
+            if name not in cls.__dict__:
+                space[name].__qualname__ = f"{cls.__qualname__}.{name}"
+                setattr(cls, name, space[name])
 
     def __post_init__(self) -> None:
         """Check and normalise the fields; a class with invariants overrides it."""
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or self._astuple() == other._astuple()
-
-    def __hash__(self) -> int:
-        return hash(self._astuple())
-
     def __repr__(self) -> str:
-        shown = ", ".join(f"{n}={v!r}" for n, v in zip(self.__match_args__, self._astuple()))
+        shown = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__match_args__)
         return f"{type(self).__qualname__}({shown})"
 
     def __setattr__(self, name: str, value: object = None) -> None:
@@ -188,7 +189,7 @@ class _Value:
     __delattr__ = __setattr__
 
     def __reduce__(self) -> tuple[object, ...]:
-        return _unchecked, (type(self), *self._astuple())
+        return _unchecked, (type(self), *map(self.__getattribute__, self.__match_args__))
 
 
 class Ipomset(_Value):
@@ -270,7 +271,6 @@ class Ipomset(_Value):
         return f"Ipomset([{' '.join(marks)}]{'; ' + rel if rel else ''})"
 
 
-_set = object.__setattr__
 _put_labels, _put_precedence, _put_sources, _put_targets, _put_derived = (
     Ipomset.__dict__[name].__set__ for name in Ipomset.__slots__
 )

@@ -379,7 +379,8 @@ class PrecubicalSet(_Value):
         rows = _walk(cells, _runs(dict(faces), problems), _slots, problems)
         if problems:
             raise PrecubicalInvariant(problems)
-        super().__init__(cells, rows)
+        for name, value in zip(self.__slots__, (cells, rows, None)):
+            object.__setattr__(self, name, value)
 
     @property
     def faces(self) -> dict[FaceKey, str]:
